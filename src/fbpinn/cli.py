@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ConfigError, build_problem, build_schedule, load_config
 from .decomposition import build_decomposition, sample_collocation
-from .networks import NumericalFailureError, eval_batch
+from .networks import NumericalFailureError, eval_values
 from .reporting import (scalability_trends, write_coarse_solution,
                         write_run_artifacts, write_sweep_summary, write_trends)
 from .training import (create_state, train, train_coarse_then_local)
@@ -126,8 +126,7 @@ def run_coarse(cfg, outdir):
     cons = np.asarray(state.problem.constraint.multiplier(x), dtype=float) \
         if state.problem.constraint.kind == "hard" else np.ones_like(x)
     center, halfwidth = state.coarse_norm
-    ug, _ = eval_batch(state.coarse_params, (x - center) / halfwidth)
-    coarse_part = cons * ug
+    coarse_part = cons * eval_values(state.coarse_params, (x - center) / halfwidth)
     local_part = report.solution_pred - coarse_part
     write_coarse_solution(out / "coarse_solution.csv", x, coarse_part,
                           local_part, report.solution_pred,
@@ -153,6 +152,10 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.command == "coarse" and not cfg.coarse.enabled:
             raise ConfigError("coarse.enabled must be true for the coarse subcommand")
+        counts = cfg.sweep.subdomains if args.command == "sweep" \
+            else (cfg.decomposition.subdomains,)
+        for n_subdomains in counts:
+            build_schedule(cfg, n_subdomains)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -143,6 +143,19 @@ def eval_batch(params, x_hat):
     return u, du
 
 
+def eval_values(params, x_hat):
+    """Network value alone at every normalized input in x_hat: the value
+    chain of _forward, bit for bit, without the tangent or the tape."""
+    a = np.asarray(x_hat, dtype=float).reshape(-1, 1)
+    last = len(params.weights) - 1
+    for ell, (W, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ W.T
+        a += b
+        if ell != last:
+            np.tanh(a, out=a)
+    return a[:, 0]
+
+
 def eval_with_input_derivative(params, x_hat):
     """Scalar evaluation returning the value and its exact input derivative."""
     x = float(x_hat)
@@ -152,14 +165,18 @@ def eval_with_input_derivative(params, x_hat):
     return EvalResult(float(u[0]), float(du[0]))
 
 
-def loss_gradient(params, x_hat, loss_fn):
+def loss_gradient(params, x_hat, loss_fn, forward=None):
     """Loss value and its exact parameter gradient.
 
     loss_fn(u, du) must return (loss, dloss_du, dloss_ddu) with the per-point
-    partial derivatives of the accumulated loss in both arguments.
+    partial derivatives of the accumulated loss in both arguments. forward,
+    when given, is the (u, du, tape) of _forward(params, x_hat) at the
+    current parameters and replaces that pass; it is checked like a fresh one.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        u, du, tape = _forward(params, x_hat)
+    if forward is None:
+        with np.errstate(invalid="ignore", over="ignore"):
+            forward = _forward(params, x_hat)
+    u, du, tape = forward
     for arr in (u, du):
         bad = ~np.isfinite(arr)
         if bad.any():

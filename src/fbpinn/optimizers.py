@@ -17,7 +17,9 @@ class GradientDescent:
 
 
 class Adam:
-    """Adam with bias correction; moment buffers allocated on first step."""
+    """Adam with bias correction. The moments are single float64 vectors
+    over the parameter arrays in MlpParams.arrays() order, allocated on the
+    first step."""
 
     def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.learning_rate = float(learning_rate)
@@ -29,20 +31,23 @@ class Adam:
         self.v = None
 
     def step(self, params, grad):
-        slots = params.arrays()
-        grads = grad.arrays()
+        g = np.concatenate([a.ravel() for a in grad.arrays()])
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in slots]
-            self.v = [np.zeros_like(p) for p in slots]
+            self.m = np.zeros_like(g)
+            self.v = np.zeros_like(g)
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(slots, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        update = self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        start = 0
+        for p in params.arrays():
+            p -= update[start:start + p.size].reshape(p.shape)
+            start += p.size
 
 
 def make_optimizer(kind, learning_rate):

@@ -22,11 +22,18 @@ def write_loss_history(path, records):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _write_float_rows(path, header, columns):
+    """CSV of float columns, written line by line: the dense solution grids
+    have tens of thousands of rows, and holding their whole text at once
+    would set the run's peak memory."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def write_solution(path, x, pred, exact):
-    lines = ["x,u_pred,u_exact"]
-    for xi, pi, ei in zip(x, pred, exact):
-        lines.append(f"{_fmt(xi)},{_fmt(pi)},{_fmt(ei)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_float_rows(path, "x,u_pred,u_exact", (x, pred, exact))
 
 
 def write_summary(path, report, extra=None):
@@ -112,7 +119,5 @@ def write_trends(path, trends):
 
 
 def write_coarse_solution(path, x, coarse, local, combined, exact):
-    lines = ["x,u_coarse,u_local,u_combined,u_exact"]
-    for row in zip(x, coarse, local, combined, exact):
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_float_rows(path, "x,u_coarse,u_local,u_combined,u_exact",
+                      (x, coarse, local, combined, exact))

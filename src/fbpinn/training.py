@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import classify_points, sample_collocation, window_table
-from .networks import (NumericalFailureError, eval_batch, init_params,
-                       loss_gradient)
+from .networks import (NumericalFailureError, _forward, eval_batch,
+                       eval_values, init_params, loss_gradient)
 from .optimizers import make_optimizer
 from .problems import soft_boundary_loss
 from .scheduling import parallel_schedule, active_set as schedule_active_set
@@ -96,6 +96,22 @@ class SubdomainWorkspace:
     bc_xhat: np.ndarray | None = None
     bc_win: np.ndarray | None = None
     bc_owned: np.ndarray | None = None
+    inputs: np.ndarray | None = None   # x_hat, then bc_xhat: rows of every local forward
+
+
+@dataclass
+class _ForwardMemo:
+    """Forwards shared within one train() call. local[j] is network j's
+    (u, du, tape) on its workspace inputs at its current parameters and is
+    dropped when network j's optimizer steps. coarse[j] is the frozen coarse
+    network's (u, du, u at soft boundary points) on workspace j."""
+
+    local: dict = field(default_factory=dict)
+    coarse: dict = field(default_factory=dict)
+
+    def clear(self):
+        self.local.clear()
+        self.coarse.clear()
 
 
 @dataclass
@@ -217,6 +233,9 @@ def create_state(problem, decomposition, points, *, layer_sizes,
             ws.bc_win = np.array([decomposition.window(j, xb) for xb in bc_x[sel]])[:, 0] \
                 if len(sel) else np.zeros(0)
             ws.bc_owned = bc_owner[sel] == j
+            ws.inputs = np.concatenate([x_hat, ws.bc_xhat])
+        else:
+            ws.inputs = x_hat
         input_norms.append((0.5 * (sd.left + sd.right), 0.5 * (sd.right - sd.left)))
         workspaces.append(ws)
 
@@ -257,7 +276,42 @@ def _coarse_eval(state, x):
     return u, du / halfwidth
 
 
-def refresh_overlap_cache(state):
+def _local_forward(state, j, memo=None):
+    """Network j's tangent forward (u, du, tape) on its workspace inputs,
+    taken from the memo while network j's parameters are unchanged."""
+    forward = memo.local.get(j) if memo is not None else None
+    if forward is None:
+        forward = _forward(state.params[j - 1], state.workspaces[j - 1].inputs)
+        if memo is not None:
+            memo.local[j] = forward
+    return forward
+
+
+def _member_values(state, ws, memo=None):
+    """Network ws.index's value and input derivative at ws's member points,
+    and its value at ws's soft boundary points."""
+    u_all, du_all, _ = _local_forward(state, ws.index, memo)
+    n_own = len(ws.x)
+    return u_all[:n_own], du_all[:n_own], u_all[n_own:]
+
+
+def _coarse_background(state, ws, memo=None):
+    """Coarse value and derivative on ws.x, and the coarse value at ws's
+    soft boundary points (None under a hard constraint)."""
+    background = memo.coarse.get(ws.index) if memo is not None else None
+    if background is None:
+        ug, dug = _coarse_eval(state, ws.x)
+        ugb = None
+        if ws.bc_sel is not None:
+            ugb = (_coarse_eval(state, state.tables.bc_x[ws.bc_sel])[0]
+                   if len(ws.bc_sel) else np.zeros(0))
+        background = (ug, dug, ugb)
+        if memo is not None:
+            memo.coarse[ws.index] = background
+    return background
+
+
+def refresh_overlap_cache(state, memo=None):
     """Recompute every subdomain's frozen background from current parameters:
     neighbor window-weighted sums at shared points, plus the coarse network
     everywhere when one is present."""
@@ -265,29 +319,26 @@ def refresh_overlap_cache(state):
     values, dvalues, bc_values = [], [], [] if soft else None
     for ws in state.workspaces:
         if state.coarse_params is not None:
-            ug, dug = _coarse_eval(state, ws.x)
-            values.append(ug)
-            dvalues.append(dug)
+            ug, dug, ugb = _coarse_background(state, ws, memo)
+            values.append(ug.copy())
+            dvalues.append(dug.copy())
+            if soft:
+                bc_values.append(ugb.copy())
         else:
             values.append(np.zeros(len(ws.x)))
             dvalues.append(np.zeros(len(ws.x)))
-        if soft:
-            if state.coarse_params is not None and len(ws.bc_sel):
-                ugb, _ = _coarse_eval(state, state.tables.bc_x[ws.bc_sel])
-                bc_values.append(ugb)
-            else:
+            if soft:
                 bc_values.append(np.zeros(len(ws.bc_sel)))
-    for ws, params in zip(state.workspaces, state.params):
+    for ws in state.workspaces:
         if not ws.outgoing and not soft:
             continue
-        u, du = eval_batch(params, ws.x_hat)
+        u, du, ub = _member_values(state, ws, memo)
         contrib = ws.win * u
         dcontrib = ws.dwin * u + ws.win * (ws.input_scale * du)
         for target, src, dst in ws.outgoing:
             values[target - 1][dst] += contrib[src]
             dvalues[target - 1][dst] += dcontrib[src]
         if soft and len(ws.bc_sel):
-            ub, _ = eval_batch(params, ws.bc_xhat)
             mine = ws.bc_win * ub
             for other in state.workspaces:
                 if other.index == ws.index or not len(other.bc_sel):
@@ -369,7 +420,7 @@ def _check_finite_residual(state, r):
             f"non-finite residual at x={state.tables.x[i]!r}", point=float(state.tables.x[i]))
 
 
-def global_loss(state):
+def global_loss(state, memo=None):
     """Mean squared constrained residual over all collocation points, split
     into interior and overlap parts (plus the soft boundary penalty)."""
     t = state.tables
@@ -381,12 +432,11 @@ def global_loss(state):
             value += u
             dvalue += du
         bc_value = np.zeros(len(t.bc_x)) if t.bc_x is not None else None
-        for ws, params in zip(state.workspaces, state.params):
-            u, du = eval_batch(params, ws.x_hat)
+        for ws in state.workspaces:
+            u, du, ub = _member_values(state, ws, memo)
             value[ws.point_ids] += ws.win * u
             dvalue[ws.point_ids] += ws.dwin * u + ws.win * (ws.input_scale * du)
             if bc_value is not None and len(ws.bc_sel):
-                ub, _ = eval_batch(params, ws.bc_xhat)
                 bc_value[ws.bc_sel] += ws.bc_win * ub
         if t.cons is not None:
             r = t.dcons * value + t.cons * dvalue - t.rhs
@@ -446,8 +496,7 @@ def _make_local_loss_fn(state, j, cache):
             gd = np.concatenate([gd, np.zeros(len(ub))])
         return loss, gu, gd
 
-    inputs = np.concatenate([ws.x_hat, ws.bc_xhat]) if len(ws.bc_sel) else ws.x_hat
-    return inputs, loss_fn
+    return ws.inputs, loss_fn
 
 
 def local_loss(state, j, cache=None):
@@ -462,7 +511,7 @@ def local_loss(state, j, cache=None):
     return float(loss)
 
 
-def _stale_breakdown(state):
+def _stale_breakdown(state, memo=None):
     """Loss as the optimizers currently see it: every point evaluated with
     its lowest-indexed owner's live network against the (possibly stale)
     cache."""
@@ -471,8 +520,8 @@ def _stale_breakdown(state):
     bc_value = np.zeros(len(t.bc_x)) if t.bc_x is not None else None
     hard = t.cons is not None
     with np.errstate(invalid="ignore", over="ignore"):
-        for ws, params in zip(state.workspaces, state.params):
-            u, du = eval_batch(params, ws.x_hat)
+        for ws in state.workspaces:
+            u, du, ub = _member_values(state, ws, memo)
             value = ws.win * u + state.cache.values[ws.index - 1]
             dvalue = (ws.dwin * u + ws.win * (ws.input_scale * du)
                       + state.cache.dvalues[ws.index - 1])
@@ -482,7 +531,6 @@ def _stale_breakdown(state):
                 r = dvalue - ws.rhs
             r_all[ws.point_ids[ws.owned_mask]] = r[ws.owned_mask]
             if bc_value is not None and len(ws.bc_sel):
-                ub, _ = eval_batch(params, ws.bc_xhat)
                 full = ws.bc_win * ub + state.cache.bc_values[ws.index - 1]
                 bc_value[ws.bc_sel[ws.bc_owned]] = full[ws.bc_owned]
         boundary = 0.0
@@ -493,7 +541,7 @@ def _stale_breakdown(state):
     return _split_breakdown(state, squared, boundary)
 
 
-def _train_round(state, active, on_step):
+def _train_round(state, active, on_step, memo=None):
     for j in active.active:
         if not 1 <= j <= state.n_subdomains:
             raise ValueError(f"active subdomain {j} out of range")
@@ -502,8 +550,9 @@ def _train_round(state, active, on_step):
         state.step += 1
         for j in order:
             inputs, loss_fn = _make_local_loss_fn(state, j, state.cache)
+            forward = memo.local.pop(j, None) if memo is not None else None
             try:
-                _, grad = loss_gradient(state.params[j - 1], inputs, loss_fn)
+                _, grad = loss_gradient(state.params[j - 1], inputs, loss_fn, forward)
             except NumericalFailureError as err:
                 err.subdomain = j
                 err.step = state.step
@@ -512,7 +561,7 @@ def _train_round(state, active, on_step):
         if on_step is not None:
             on_step()
     state.round += 1
-    state.cache = refresh_overlap_cache(state)
+    state.cache = refresh_overlap_cache(state, memo)
     return state
 
 
@@ -529,7 +578,7 @@ class _EvalGrid:
     exact_norm: float
     cons: np.ndarray | None
     entries: list          # per subdomain (idx, win, x_hat)
-    coarse_x: np.ndarray | None
+    coarse_value: np.ndarray | None   # the coarse network is frozen in train()
 
 
 def _make_eval_grid(state, n_points):
@@ -546,24 +595,29 @@ def _make_eval_grid(state, n_points):
         x=x, exact=exact, exact_norm=float(np.linalg.norm(exact)),
         cons=np.asarray(state.problem.constraint.multiplier(x), dtype=float) if hard else None,
         entries=entries,
-        coarse_x=x if state.coarse_params is not None else None)
+        coarse_value=_coarse_value(state, x) if state.coarse_params is not None else None)
+
+
+def _coarse_value(state, x):
+    center, halfwidth = state.coarse_norm
+    with np.errstate(invalid="ignore", over="ignore"):
+        return eval_values(state.coarse_params, (x - center) / halfwidth)
 
 
 def _grid_solution(state, grid):
     value = np.zeros(len(grid.x))
-    if state.coarse_params is not None:
-        u, _ = _coarse_eval(state, grid.coarse_x)
-        value += u
+    if grid.coarse_value is not None:
+        value += grid.coarse_value
     for params, (idx, win, x_hat) in zip(state.params, grid.entries):
-        u, _ = eval_batch(params, x_hat)
-        value[idx] += win * u
+        value[idx] += win * eval_values(params, x_hat)
     return grid.cons * value if grid.cons is not None else value
 
 
 def _grid_l2(state, grid):
+    """Relative L2 error on the grid, and the prediction it measured."""
     with np.errstate(invalid="ignore", over="ignore"):
         pred = _grid_solution(state, grid)
-    return float(np.linalg.norm(pred - grid.exact) / grid.exact_norm)
+    return float(np.linalg.norm(pred - grid.exact) / grid.exact_norm), pred
 
 
 def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
@@ -582,30 +636,39 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
     grid = _make_eval_grid(state, l2_points if l2_points is not None
                            else 10 * len(state.tables.x))
     started = time.perf_counter()
+    # Each network's tangent forward is computed at most once per parameter
+    # version and shared by the cache refresh, the stale-loss record and the
+    # next step's gradient.
+    memo = _ForwardMemo()
     if report.initial_loss is None:
-        report.initial_loss = global_loss(state).total
+        report.initial_loss = global_loss(state, memo).total
     final_step = state.step + int(rounds) * state.communication_interval
 
     def on_step():
         s = state.step
         if s % record_interval == 0 or s == final_step:
-            bd = _stale_breakdown(state)
+            # Grid first: after the stale split, the grid's temporaries
+            # would sit on top of the forwards that split leaves in the
+            # memo and raise peak memory.
+            l2, _ = _grid_l2(state, grid)
+            bd = _stale_breakdown(state, memo)
             report.records.append(LossRecord(
                 step_offset + s, state.round, phase, bd.total, bd.interior,
-                bd.overlap, bd.boundary, _grid_l2(state, grid)))
+                bd.overlap, bd.boundary, l2))
 
     try:
         for _ in range(int(rounds)):
-            _train_round(state, schedule_active_set(schedule, state.round), on_step)
+            _train_round(state, schedule_active_set(schedule, state.round),
+                         on_step, memo)
     except NumericalFailureError as err:
         report.wall_time_s += time.perf_counter() - started
         err.report = report
         raise
     report.wall_time_s += time.perf_counter() - started
+    memo.clear()
     report.final_loss = global_loss(state)
-    report.final_l2 = _grid_l2(state, grid)
+    report.final_l2, report.solution_pred = _grid_l2(state, grid)
     report.solution_x = grid.x
-    report.solution_pred = _grid_solution(state, grid)
     report.solution_exact = grid.exact
     report.phases[phase] = report.phases.get(phase, 0) + int(rounds) * state.communication_interval
     return report
@@ -662,7 +725,7 @@ def _train_single(params, problem, points, optimizer, steps, *, norm,
 
     def current_pred():
         with np.errstate(invalid="ignore", over="ignore"):
-            u, _ = eval_batch(params, grid_hat)
+            u = eval_values(params, grid_hat)
         return grid_cons * u if hard else u
 
     started = time.perf_counter()
@@ -683,10 +746,12 @@ def _train_single(params, problem, points, optimizer, steps, *, norm,
             report.records.append(LossRecord(step_offset + s, s - 1, phase,
                                              loss, loss, 0.0, 0.0, l2))
     report.wall_time_s += time.perf_counter() - started
-    report.final_loss = LossBreakdown(current_loss(), current_loss(), 0.0)
-    report.final_l2 = float(np.linalg.norm(current_pred() - grid_exact) / grid_norm)
+    loss = current_loss()
+    pred = current_pred()
+    report.final_loss = LossBreakdown(loss, loss, 0.0)
+    report.final_l2 = float(np.linalg.norm(pred - grid_exact) / grid_norm)
     report.solution_x = grid_x
-    report.solution_pred = current_pred()
+    report.solution_pred = pred
     report.solution_exact = grid_exact
     report.phases[phase] = report.phases.get(phase, 0) + int(steps)
     return report

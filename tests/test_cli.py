@@ -188,6 +188,26 @@ def test_sweep_records_failed_cells_and_continues(tmp_path, capsys):
     assert trends == []
 
 
+def test_schedule_not_covering_subdomains_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, decomposition={"subdomains": 4},
+                       schedule={"kind": "colored", "colors": [[1, 2]]})
+    out = tmp_path / "never"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "error: schedule.colors" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_schedule_checked_against_every_subdomain_count(tmp_path, capsys):
+    # the colors cover J=2 but not J=3, so the whole sweep is refused
+    cfg = write_config(tmp_path, sweep={"subdomains": [2, 3],
+                                        "communication_intervals": [1]},
+                       schedule={"kind": "colored", "colors": [[1], [2]]})
+    out = tmp_path / "never"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+    assert "error: schedule.colors" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coarse_subcommand_requires_enabled(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["coarse", str(cfg), "--out", str(tmp_path / "never")]) == 2

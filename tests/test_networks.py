@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbpinn.networks import (MlpParams, NumericalFailureError, eval_batch,
+from fbpinn.networks import (MlpParams, NumericalFailureError, _forward,
+                             eval_batch, eval_values,
                              eval_with_input_derivative, init_params,
                              loss_gradient, params_from_jsonable,
                              params_to_jsonable)
@@ -220,3 +221,33 @@ def test_loss_gradient_raises_on_nonfinite_loss():
 
     with pytest.raises(NumericalFailureError):
         loss_gradient(p, [0.0], loss_fn)
+
+
+def test_eval_values_is_the_value_chain_bitwise():
+    for sizes in ([1, 1], [1, 6, 1], [1, 16, 16, 1]):
+        p = init_params(sizes, seed=3)
+        xs = np.linspace(-1.3, 1.1, 57)
+        u, _ = eval_batch(p, xs)
+        assert np.array_equal(eval_values(p, xs), u)
+
+
+def test_loss_gradient_reuses_precomputed_forward():
+    p = init_params([1, 8, 8, 1], seed=4)
+    x = np.linspace(-1, 1, 13)
+    loss_fn = quadratic_loss(np.linspace(0.5, 2, 13), np.linspace(2, 0.5, 13))
+    loss, grad = loss_gradient(p, x, loss_fn)
+    loss2, grad2 = loss_gradient(p, x, loss_fn, _forward(p, x))
+    assert loss2 == loss
+    for a, b in zip(grad.arrays(), grad2.arrays()):
+        assert np.array_equal(a, b)
+
+
+def test_loss_gradient_checks_a_precomputed_forward():
+    p = init_params([1, 4, 1], seed=0)
+    x = [0.1, 0.2, 0.3]
+    u, du, tape = _forward(p, x)
+    u = u.copy()
+    u[1] = np.nan
+    with pytest.raises(NumericalFailureError) as exc:
+        loss_gradient(p, x, quadratic_loss(np.ones(3), np.ones(3)), (u, du, tape))
+    assert exc.value.point == 0.2

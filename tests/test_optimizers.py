@@ -70,6 +70,31 @@ def test_adam_moment_reference_oracle():
         assert p.biases[0][0] == pytest.approx(theta[1], rel=1e-12)
 
 
+def test_adam_flat_moments_match_per_array_update_bitwise():
+    # the update written per parameter array, as before the moments were
+    # flattened: the same elementwise ops, so the same bits
+    from fbpinn.networks import init_params
+    rng = np.random.default_rng(3)
+    p = init_params([1, 5, 4, 1], seed=2)
+    ref = p.copy()
+    m = [np.zeros_like(a) for a in ref.arrays()]
+    v = [np.zeros_like(a) for a in ref.arrays()]
+    opt = Adam(learning_rate=0.01)
+    for t in range(1, 6):
+        g = ParamGradient([rng.normal(size=w.shape) for w in p.weights],
+                          [rng.normal(size=b.shape) for b in p.biases])
+        opt.step(p, g)
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for a, ga, ma, va in zip(ref.arrays(), g.arrays(), m, v):
+            ma *= 0.9
+            ma += (1.0 - 0.9) * ga
+            va *= 0.999
+            va += (1.0 - 0.999) * (ga * ga)
+            a -= 0.01 * (ma / c1) / (np.sqrt(va / c2) + opt.eps)
+        for a, b in zip(p.arrays(), ref.arrays()):
+            assert np.array_equal(a, b)
+
+
 def test_make_optimizer():
     assert isinstance(make_optimizer("adam", 1e-3), Adam)
     assert isinstance(make_optimizer("sgd", 1e-3), GradientDescent)

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from fbpinn import networks, training
 from fbpinn.decomposition import (Interval, build_decomposition,
                                   sample_collocation, window)
 from fbpinn.networks import NumericalFailureError, eval_batch, init_params
@@ -385,12 +388,13 @@ def test_coarse_requires_coarse_network():
                                 local_rounds=1)
 
 
-def soft_state(n_sub=2, n_pts=50, seed=0):
+def soft_state(n_sub=2, n_pts=50, seed=0, **kw):
     prob = make_single_frequency(3.0, DOM).with_constraint(
         SoftConstraint(points=(0.0,), targets=(0.0,), weight=2.0))
     dec = build_decomposition(DOM, n_sub, 0.7)
     pts = sample_collocation(DOM, n_pts)
-    return create_state(prob, dec, pts, layer_sizes=[1, 6, 1], master_seed=seed)
+    return create_state(prob, dec, pts, layer_sizes=[1, 6, 1], master_seed=seed,
+                        **kw)
 
 
 def test_soft_constraint_loss_includes_boundary_term():
@@ -411,3 +415,71 @@ def test_soft_constraint_training_descends():
     assert end.total < start
     stale = _stale_breakdown(state)
     assert stale.total == pytest.approx(end.total, rel=1e-10)
+
+
+def _same_cache(a, b):
+    pairs = list(zip(a.values, b.values)) + list(zip(a.dvalues, b.dvalues))
+    if a.bc_values is not None:
+        pairs += list(zip(a.bc_values, b.bc_values))
+    assert all(np.array_equal(x, y) for x, y in pairs)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("kind", ["parallel", "alternating", "colored"])
+@pytest.mark.parametrize("constraint", ["hard", "soft"])
+def test_cache_after_train_matches_fresh_refresh(kind, p, constraint):
+    # the forwards the refresh reuses inside train must be those of the
+    # final parameters, also for subdomains an alternating or colored
+    # schedule left inactive for several rounds. A fresh refresh runs the
+    # same forwards on the same rows, so even soft caches match bitwise.
+    make = small_state if constraint == "hard" else soft_state
+    state = make(n_sub=4, n_pts=60, seed=2, communication_interval=p)
+    sched = {"parallel": parallel_schedule(4),
+             "alternating": alternating_schedule(4),
+             "colored": colored_schedule(4, [[1, 3], [2, 4]])}[kind]
+    train(state, sched, 6, record_interval=2, l2_points=50)
+    _same_cache(state.cache, refresh_overlap_cache(state))
+
+
+def test_cache_after_coarse_run_matches_fresh_refresh():
+    # the coarse background is reused for the whole local phase and copied
+    # before neighbor contributions accumulate into it
+    state = coarse_state(seed=4, n_sub=4)
+    train_coarse_then_local(state, coarse_epochs=5, coarse_points=40,
+                            local_rounds=4, record_interval=2, l2_points=50)
+    _same_cache(state.cache, refresh_overlap_cache(state))
+
+
+@pytest.mark.parametrize("kind", ["parallel", "alternating"])
+def test_one_tangent_forward_per_parameter_version(monkeypatch, kind):
+    state = small_state(n_sub=4, n_pts=80, seed=3)
+    tangent, values = [], []
+    real_forward, real_values = networks._forward, networks.eval_values
+
+    def counting_forward(params, x_hat):
+        j = next(k for k, q in enumerate(state.params, 1) if q is params)
+        tangent.append((j, b"".join(a.tobytes() for a in params.arrays())))
+        return real_forward(params, x_hat)
+
+    def counting_values(params, x_hat):
+        values.append(len(x_hat))
+        return real_values(params, x_hat)
+
+    for module in (networks, training):
+        monkeypatch.setattr(module, "_forward", counting_forward)
+    monkeypatch.setattr(training, "eval_values", counting_values)
+    sched = parallel_schedule(4) if kind == "parallel" else alternating_schedule(4)
+    train(state, sched, 10, record_interval=10, l2_points=200)
+
+    counts = Counter(tangent)
+    final = {(j, b"".join(a.tobytes() for a in q.arrays()))
+             for j, q in enumerate(state.params, 1)}
+    # one forward per version (v0 at the initial loss, then after every
+    # step of the subdomain), plus the fresh final global_loss
+    for key, n in counts.items():
+        assert n == (2 if key in final else 1)
+    steps = [10] * 4 if kind == "parallel" else [3, 3, 2, 2]
+    assert len(counts) == sum(s + 1 for s in steps)
+    assert len(tangent) == sum(s + 1 for s in steps) + 4
+    # the dense grid, value only: the step-10 record and the final L2
+    assert len(values) == 2 * 4
