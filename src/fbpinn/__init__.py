@@ -5,21 +5,18 @@ from .decomposition import (CollocationSets, Decomposition, Interval, Subdomain,
                             TripleOverlapError, build_decomposition,
                             build_decomposition_from_width, classify_points,
                             sample_collocation, window, window_table)
-from .networks import (EvalResult, MlpParams, NumericalFailureError,
-                       ParamGradient, eval_batch, eval_with_input_derivative,
-                       init_params, loss_gradient, params_from_jsonable,
-                       params_to_jsonable)
+from .networks import (MlpParams, NumericalFailureError, ParamGradient,
+                       eval_batch, init_params, loss_gradient,
+                       params_from_jsonable, params_to_jsonable)
 from .optimizers import Adam, GradientDescent, make_optimizer
-from .problems import (HardConstraint, OdeProblem, ResidualInput,
-                       SoftConstraint, apply_constraint, identity_constraint,
-                       make_single_frequency, make_two_frequency, residual,
-                       soft_boundary_loss, tanh_constraint)
+from .problems import (HardConstraint, OdeProblem, SoftConstraint,
+                       identity_constraint, make_single_frequency,
+                       make_two_frequency, soft_boundary_loss, tanh_constraint)
 from .scheduling import (ActiveSet, Schedule, active_set, alternating_schedule,
                          colored_schedule, explicit_schedule, parallel_schedule)
 from .training import (FbpinnState, LossBreakdown, OverlapCache, RunReport,
-                       create_state, evaluate_global, evaluate_global_batch,
-                       global_loss, local_loss, refresh_overlap_cache,
-                       solution_values, train, train_coarse_then_local,
-                       train_pinn, train_round)
+                       create_state, global_loss, local_loss,
+                       refresh_overlap_cache, solution_values, train,
+                       train_coarse_then_local, train_pinn, train_round)
 
 __version__ = "0.1.0"

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, build_problem, build_schedule, load_config
-from .decomposition import build_decomposition, sample_collocation
+from .decomposition import (build_decomposition, empty_subdomains,
+                            sample_collocation)
 from .networks import NumericalFailureError, eval_values
 from .reporting import (scalability_trends, write_coarse_solution,
                         write_run_artifacts, write_sweep_summary, write_trends)
@@ -39,12 +40,30 @@ def resolve_outdir(cli_out, cfg):
     return out
 
 
-def _build_state(cfg, with_coarse):
+def _layout(cfg, n_subdomains):
+    """The problem, its decomposition into n_subdomains subdomains and the
+    collocation points of cfg."""
     problem = build_problem(cfg)
-    decomposition = build_decomposition(problem.domain,
-                                        cfg.decomposition.subdomains,
+    decomposition = build_decomposition(problem.domain, n_subdomains,
                                         cfg.decomposition.overlap_fraction)
     points = sample_collocation(problem.domain, cfg.training.collocation_points)
+    return problem, decomposition, points
+
+
+def _check_subdomain_count(cfg, n_subdomains):
+    """ConfigError unless cfg can be built with n_subdomains subdomains: the
+    schedule must cover them and each must hold a collocation point."""
+    build_schedule(cfg, n_subdomains)
+    _, decomposition, points = _layout(cfg, n_subdomains)
+    empty = empty_subdomains(decomposition, points)
+    if empty:
+        raise ConfigError(
+            f"training.collocation_points = {cfg.training.collocation_points} "
+            f"leaves subdomains {empty} of {n_subdomains} without a collocation point")
+
+
+def _build_state(cfg, with_coarse):
+    problem, decomposition, points = _layout(cfg, cfg.decomposition.subdomains)
     return create_state(
         problem, decomposition, points,
         layer_sizes=cfg.network.layer_sizes(),
@@ -155,7 +174,7 @@ def main(argv=None):
         counts = cfg.sweep.subdomains if args.command == "sweep" \
             else (cfg.decomposition.subdomains,)
         for n_subdomains in counts:
-            build_schedule(cfg, n_subdomains)
+            _check_subdomain_count(cfg, n_subdomains)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

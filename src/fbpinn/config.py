@@ -124,6 +124,11 @@ def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _is_index_lists(v):
+    return (isinstance(v, list) and len(v) >= 1
+            and all(isinstance(g, list) and all(_is_int(j) for j in g) for g in v))
+
+
 def parse_config(data):
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a JSON object")
@@ -191,10 +196,10 @@ def validate_config(cfg):
     _require(s.kind in ("parallel", "alternating", "colored", "explicit"),
              f"schedule.kind must be one of parallel/alternating/colored/explicit, got {s.kind!r}")
     if s.kind == "colored":
-        _require(isinstance(s.colors, list) and s.colors,
+        _require(_is_index_lists(s.colors),
                  "schedule.colors must be a non-empty list of index lists")
     if s.kind == "explicit":
-        _require(isinstance(s.sets, list) and s.sets,
+        _require(_is_index_lists(s.sets),
                  "schedule.sets must be a non-empty list of index lists")
 
     c = cfg.coarse

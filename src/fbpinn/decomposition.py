@@ -178,14 +178,13 @@ def build_decomposition_from_width(domain, n_subdomains, width, overlap_fraction
     delta = width - h
 
     neighbor_sets = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if max(lefts[i], lefts[j]) < min(rights[i], rights[j]):
-                if j - i > 1:
-                    raise TripleOverlapError(
-                        f"subdomains {i + 1} and {j + 1} overlap; chain structure broken")
-                neighbor_sets[i].add(j + 1)
-                neighbor_sets[j].add(i + 1)
+    overlaps = np.maximum.outer(lefts, lefts) < np.minimum.outer(rights, rights)
+    for i, j in np.argwhere(np.triu(overlaps, k=1)).tolist():
+        if j - i > 1:
+            raise TripleOverlapError(
+                f"subdomains {i + 1} and {j + 1} overlap; chain structure broken")
+        neighbor_sets[i].add(j + 1)
+        neighbor_sets[j].add(i + 1)
 
     subdomains = tuple(
         Subdomain(i + 1, float(lefts[i]), float(rights[i]), frozenset(neighbor_sets[i]))
@@ -255,6 +254,16 @@ def sample_collocation(domain, n_points):
     if not isinstance(n_points, (int, np.integer)) or n_points < 2:
         raise ValueError(f"need at least 2 collocation points, got {n_points!r}")
     return np.linspace(domain.a, domain.b, int(n_points))
+
+
+def empty_subdomains(decomposition, points):
+    """1-based indices of the subdomains whose closed interval holds none of
+    the points."""
+    pts = np.sort(np.asarray(points, dtype=float))
+    lefts = [sd.left for sd in decomposition.subdomains]
+    rights = [sd.right for sd in decomposition.subdomains]
+    held = np.searchsorted(pts, rights, "right") - np.searchsorted(pts, lefts, "left")
+    return [int(j) + 1 for j in np.nonzero(held == 0)[0]]
 
 
 @dataclass(frozen=True)

@@ -59,12 +59,6 @@ class ParamGradient:
         return list(self.weights) + list(self.biases)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: float
-    dvalue_dx: float
-
-
 def init_params(layer_sizes, seed):
     """Glorot-uniform weights, zero biases; deterministic in seed."""
     sizes = list(layer_sizes)
@@ -154,15 +148,6 @@ def eval_values(params, x_hat):
         if ell != last:
             np.tanh(a, out=a)
     return a[:, 0]
-
-
-def eval_with_input_derivative(params, x_hat):
-    """Scalar evaluation returning the value and its exact input derivative."""
-    x = float(x_hat)
-    if not np.isfinite(x):
-        raise ValueError(f"non-finite network input {x_hat!r}")
-    u, du, _ = _forward(params, [x])
-    return EvalResult(float(u[0]), float(du[0]))
 
 
 def loss_gradient(params, x_hat, loss_fn, forward=None):

@@ -52,12 +52,6 @@ def identity_constraint():
 
 
 @dataclass(frozen=True)
-class ResidualInput:
-    u: float
-    du_dx: float
-
-
-@dataclass(frozen=True)
 class OdeProblem:
     domain: Interval
     rhs: object
@@ -110,21 +104,6 @@ def make_two_frequency(omega1, omega2, domain):
     return OdeProblem(domain=domain, rhs=rhs, frequencies=(w1, w2),
                       exact_solution=exact, exact_derivative=rhs,
                       constraint=tanh_constraint())
-
-
-def apply_constraint(constraint, x, raw):
-    """Hard constraint by the product rule:
-    (c u, c' u + c du/dx) from the raw pair."""
-    if constraint.kind != "hard":
-        raise TypeError("apply_constraint needs a hard constraint")
-    c = float(constraint.multiplier(x))
-    dc = float(constraint.multiplier_prime(x))
-    return ResidualInput(c * raw.u, dc * raw.u + c * raw.du_dx)
-
-
-def residual(problem, x, constrained):
-    """PDE residual du/dx - f(x) of an already-constrained pair."""
-    return constrained.du_dx - float(problem.rhs(x))
 
 
 def soft_boundary_loss(constraint, boundary_evals):

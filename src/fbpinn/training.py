@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import classify_points, sample_collocation, window_table
+from .decomposition import (classify_points, empty_subdomains,
+                            sample_collocation, window_table)
 from .networks import (NumericalFailureError, _forward, eval_batch,
                        eval_values, init_params, loss_gradient)
 from .optimizers import make_optimizer
@@ -82,7 +83,6 @@ class SubdomainWorkspace:
     index: int
     point_ids: np.ndarray
     x: np.ndarray
-    x_hat: np.ndarray
     input_scale: float            # d(x_hat)/dx
     win: np.ndarray
     dwin: np.ndarray
@@ -91,12 +91,13 @@ class SubdomainWorkspace:
     cons: np.ndarray | None
     dcons: np.ndarray | None
     rhs: np.ndarray
+    dr_du: np.ndarray             # d(residual)/du at each member point
+    dr_ddu: np.ndarray            # d(residual)/d(du) at each member point
+    inputs: np.ndarray            # rows of every local forward: member x_hat, then soft bc x_hat
     outgoing: list = field(default_factory=list)   # (target j, src pos, dst pos)
     bc_sel: np.ndarray | None = None
-    bc_xhat: np.ndarray | None = None
     bc_win: np.ndarray | None = None
     bc_owned: np.ndarray | None = None
-    inputs: np.ndarray | None = None   # x_hat, then bc_xhat: rows of every local forward
 
 
 @dataclass
@@ -117,9 +118,6 @@ class _ForwardMemo:
 @dataclass
 class _GlobalTables:
     x: np.ndarray
-    cons: np.ndarray | None
-    dcons: np.ndarray | None
-    rhs: np.ndarray
     interior_mask: np.ndarray
     overlap_mask: np.ndarray
     bc_x: np.ndarray | None
@@ -161,6 +159,7 @@ def create_state(problem, decomposition, points, *, layer_sizes,
                  master_seed=0, coarse_layer_sizes=None):
     """Initialize networks, classify collocation points, precompute windows,
     and fill the overlap cache from the freshly initialized parameters.
+    Every subdomain must hold at least one collocation point.
 
     Per-network seeds are master_seed + subdomain index (1-based); the coarse
     network, when requested, uses master_seed itself.
@@ -172,6 +171,9 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         raise ValueError(f"communication_interval must be >= 1, got {communication_interval!r}")
 
     colloc = classify_points(decomposition, points)
+    empty = empty_subdomains(decomposition, colloc.points)
+    if empty:
+        raise ValueError(f"subdomains {empty} hold no collocation point")
     pts = colloc.points
     n_points = len(pts)
     n_sub = decomposition.n_subdomains
@@ -218,24 +220,24 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         assert np.array_equal(idx_check, ids)
         ovl = np.zeros(len(ids), dtype=bool)
         ovl[np.searchsorted(ids, colloc.overlap[j - 1])] = True
+        cons = cons_all[ids] if hard else None
+        dcons = dcons_all[ids] if hard else None
         ws = SubdomainWorkspace(
-            index=j, point_ids=ids, x=x, x_hat=x_hat, input_scale=scale,
+            index=j, point_ids=ids, x=x, input_scale=scale,
             win=win, dwin=dwin, overlap_mask=ovl,
-            owned_mask=owner[ids] == j,
-            cons=cons_all[ids] if hard else None,
-            dcons=dcons_all[ids] if hard else None,
+            owned_mask=owner[ids] == j, cons=cons, dcons=dcons,
             rhs=np.asarray(problem.rhs(x), dtype=float),
+            dr_du=dcons * win + cons * dwin if hard else dwin,
+            dr_ddu=cons * (win * scale) if hard else win * scale,
+            inputs=x_hat,
         )
         if not hard:
             sel = np.nonzero((bc_x >= sd.left) & (bc_x <= sd.right))[0]
             ws.bc_sel = sel
-            ws.bc_xhat, _ = _norm_inputs(sd.left, sd.right, bc_x[sel])
             ws.bc_win = np.array([decomposition.window(j, xb) for xb in bc_x[sel]])[:, 0] \
                 if len(sel) else np.zeros(0)
             ws.bc_owned = bc_owner[sel] == j
-            ws.inputs = np.concatenate([x_hat, ws.bc_xhat])
-        else:
-            ws.inputs = x_hat
+            ws.inputs = np.concatenate([x_hat, _norm_inputs(sd.left, sd.right, bc_x[sel])[0]])
         input_norms.append((0.5 * (sd.left + sd.right), 0.5 * (sd.right - sd.left)))
         workspaces.append(ws)
 
@@ -261,9 +263,8 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         optimizers=optimizers, coarse_optimizer=coarse_optimizer,
         communication_interval=int(communication_interval), round=0, step=0,
         workspaces=workspaces,
-        tables=_GlobalTables(pts, cons_all, dcons_all,
-                             np.asarray(problem.rhs(pts), dtype=float),
-                             interior_mask, overlap_mask, bc_x, bc_targets, bc_weight),
+        tables=_GlobalTables(pts, interior_mask, overlap_mask,
+                             bc_x, bc_targets, bc_weight),
         cache=None,
     )
     state.cache = refresh_overlap_cache(state)
@@ -276,21 +277,16 @@ def _coarse_eval(state, x):
     return u, du / halfwidth
 
 
-def _local_forward(state, j, memo=None):
-    """Network j's tangent forward (u, du, tape) on its workspace inputs,
-    taken from the memo while network j's parameters are unchanged."""
-    forward = memo.local.get(j) if memo is not None else None
-    if forward is None:
-        forward = _forward(state.params[j - 1], state.workspaces[j - 1].inputs)
-        if memo is not None:
-            memo.local[j] = forward
-    return forward
-
-
 def _member_values(state, ws, memo=None):
     """Network ws.index's value and input derivative at ws's member points,
-    and its value at ws's soft boundary points."""
-    u_all, du_all, _ = _local_forward(state, ws.index, memo)
+    and its value at ws's soft boundary points: one tangent forward on
+    ws.inputs, taken from the memo while the parameters are unchanged."""
+    forward = memo.local.get(ws.index) if memo is not None else None
+    if forward is None:
+        forward = _forward(state.params[ws.index - 1], ws.inputs)
+        if memo is not None:
+            memo.local[ws.index] = forward
+    u_all, du_all, _ = forward
     n_own = len(ws.x)
     return u_all[:n_own], du_all[:n_own], u_all[n_own:]
 
@@ -317,183 +313,130 @@ def refresh_overlap_cache(state, memo=None):
     everywhere when one is present."""
     soft = state.tables.bc_x is not None
     values, dvalues, bc_values = [], [], [] if soft else None
-    for ws in state.workspaces:
-        if state.coarse_params is not None:
-            ug, dug, ugb = _coarse_background(state, ws, memo)
-            values.append(ug.copy())
-            dvalues.append(dug.copy())
-            if soft:
-                bc_values.append(ugb.copy())
-        else:
-            values.append(np.zeros(len(ws.x)))
-            dvalues.append(np.zeros(len(ws.x)))
-            if soft:
-                bc_values.append(np.zeros(len(ws.bc_sel)))
-    for ws in state.workspaces:
-        if not ws.outgoing and not soft:
-            continue
-        u, du, ub = _member_values(state, ws, memo)
-        contrib = ws.win * u
-        dcontrib = ws.dwin * u + ws.win * (ws.input_scale * du)
-        for target, src, dst in ws.outgoing:
-            values[target - 1][dst] += contrib[src]
-            dvalues[target - 1][dst] += dcontrib[src]
-        if soft and len(ws.bc_sel):
-            mine = ws.bc_win * ub
-            for other in state.workspaces:
-                if other.index == ws.index or not len(other.bc_sel):
-                    continue
-                common, src, dst = np.intersect1d(ws.bc_sel, other.bc_sel,
-                                                  assume_unique=True, return_indices=True)
-                if len(common):
-                    bc_values[other.index - 1][dst] += mine[src]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for ws in state.workspaces:
+            if state.coarse_params is not None:
+                ug, dug, ugb = _coarse_background(state, ws, memo)
+                values.append(ug.copy())
+                dvalues.append(dug.copy())
+                if soft:
+                    bc_values.append(ugb.copy())
+            else:
+                values.append(np.zeros(len(ws.x)))
+                dvalues.append(np.zeros(len(ws.x)))
+                if soft:
+                    bc_values.append(np.zeros(len(ws.bc_sel)))
+        for ws in state.workspaces:
+            if not ws.outgoing and not soft:
+                continue
+            u, du, ub = _member_values(state, ws, memo)
+            contrib = ws.win * u
+            dcontrib = ws.dwin * u + ws.win * (ws.input_scale * du)
+            for target, src, dst in ws.outgoing:
+                values[target - 1][dst] += contrib[src]
+                dvalues[target - 1][dst] += dcontrib[src]
+            if soft and len(ws.bc_sel):
+                mine = ws.bc_win * ub
+                for other in state.workspaces:
+                    if other.index == ws.index or not len(other.bc_sel):
+                        continue
+                    common, src, dst = np.intersect1d(ws.bc_sel, other.bc_sel,
+                                                      assume_unique=True, return_indices=True)
+                    if len(common):
+                        bc_values[other.index - 1][dst] += mine[src]
     return OverlapCache(values, dvalues, bc_values, state.round)
 
 
-def evaluate_global(state, x):
-    """Raw global value and spatial derivative at scalar x: the weighted sum
-    of local networks plus the coarse term. No constraint applied."""
-    x = float(x)
-    if not state.problem.domain.contains(x):
-        raise ValueError(f"point {x!r} outside domain")
-    value = dvalue = 0.0
-    if state.coarse_params is not None:
-        u, du = _coarse_eval(state, [x])
-        value += float(u[0])
-        dvalue += float(du[0])
-    for ws, params in zip(state.workspaces, state.params):
-        sd = state.decomposition.subdomains[ws.index - 1]
-        if not sd.contains(x):
-            continue
-        w, dw = state.decomposition.window(ws.index, x)
-        x_hat = (x - 0.5 * (sd.left + sd.right)) * ws.input_scale
-        u, du = eval_batch(params, [x_hat])
-        value += w * float(u[0])
-        dvalue += dw * float(u[0]) + w * ws.input_scale * float(du[0])
-    return value, dvalue
+def _residual(ws, u, du, bg, dbg):
+    """Constrained residual at ws's member points: network ws.index's
+    window-weighted (u, du) plus the frozen background (bg, dbg), as
+    c'v + cv' - f under a hard constraint and v' - f under a soft one."""
+    dvalue = ws.dwin * u + ws.win * (ws.input_scale * du) + dbg
+    if ws.cons is None:
+        return dvalue - ws.rhs
+    return ws.dcons * (ws.win * u + bg) + ws.cons * dvalue - ws.rhs
 
 
-def evaluate_global_batch(state, xs):
-    xs = np.asarray(xs, dtype=float)
-    value = np.zeros_like(xs)
-    dvalue = np.zeros_like(xs)
-    if state.coarse_params is not None:
-        u, du = _coarse_eval(state, xs)
-        value += u
-        dvalue += du
-    tables = window_table(state.decomposition, xs)
-    for ws, params, (idx, win, dwin) in zip(state.workspaces, state.params, tables):
-        sd = state.decomposition.subdomains[ws.index - 1]
-        x_hat, scale = _norm_inputs(sd.left, sd.right, xs[idx])
-        u, du = eval_batch(params, x_hat)
-        value[idx] += win * u
-        dvalue[idx] += dwin * u + win * (scale * du)
-    return value, dvalue
-
-
-def solution_values(state, xs):
-    """Constrained solution: hard constraint multiplier times the raw sum
-    (raw sum itself under a soft constraint)."""
-    value, _ = evaluate_global_batch(state, xs)
-    if state.problem.constraint.kind == "hard":
-        return np.asarray(state.problem.constraint.multiplier(xs), dtype=float) * value
-    return value
-
-
-def _split_breakdown(state, squared, boundary):
+def _loss_split(state, cache, memo=None):
+    """Loss split with every point's residual taken from its lowest-indexed
+    owner's live network against `cache`, plus the soft boundary penalty.
+    Returns the split and the residual at every collocation point."""
     t = state.tables
     n = len(t.x)
-    total = float(np.sum(squared) / n)
-    interior = float(np.sum(squared[t.interior_mask]) / n)
-    overlap = float(np.sum(squared[t.overlap_mask]) / n)
-    per_sub = tuple(
-        float(np.sum(squared[ws.point_ids[~ws.overlap_mask]]) / n)
-        for ws in state.workspaces)
-    return LossBreakdown(total + boundary, interior, overlap, boundary, per_sub)
+    r_all = np.zeros(n)
+    bc_value = np.zeros(len(t.bc_x)) if t.bc_x is not None else None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for ws in state.workspaces:
+            j = ws.index - 1
+            u, du, ub = _member_values(state, ws, memo)
+            r = _residual(ws, u, du, cache.values[j], cache.dvalues[j])
+            r_all[ws.point_ids[ws.owned_mask]] = r[ws.owned_mask]
+            if bc_value is not None and len(ws.bc_sel):
+                full = ws.bc_win * ub + cache.bc_values[j]
+                bc_value[ws.bc_sel[ws.bc_owned]] = full[ws.bc_owned]
+        boundary = 0.0 if bc_value is None else soft_boundary_loss(
+            state.problem.constraint, zip(bc_value, t.bc_targets))
+        squared = r_all * r_all
+        per_sub = tuple(float(np.sum(squared[ws.point_ids[~ws.overlap_mask]]) / n)
+                        for ws in state.workspaces)
+        split = LossBreakdown(float(np.sum(squared) / n) + boundary,
+                              float(np.sum(squared[t.interior_mask]) / n),
+                              float(np.sum(squared[t.overlap_mask]) / n),
+                              boundary, per_sub)
+    return split, r_all
 
 
-def _check_finite_residual(state, r):
+def _checked_loss(state, cache, memo):
+    """The loss split against `cache`; NumericalFailureError at the first
+    point whose residual is not finite."""
+    split, r = _loss_split(state, cache, memo)
     bad = ~np.isfinite(r)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericalFailureError(
-            f"non-finite residual at x={state.tables.x[i]!r}", point=float(state.tables.x[i]))
+        x = state.tables.x[int(np.argmax(bad))]
+        raise NumericalFailureError(f"non-finite residual at x={x!r}", point=float(x))
+    return split
 
 
-def global_loss(state, memo=None):
+def _stale_breakdown(state, memo=None):
+    """Loss as the optimizers currently see it: the split against the
+    (possibly stale) state.cache, unchecked."""
+    return _loss_split(state, state.cache, memo)[0]
+
+
+def global_loss(state):
     """Mean squared constrained residual over all collocation points, split
-    into interior and overlap parts (plus the soft boundary penalty)."""
-    t = state.tables
-    with np.errstate(invalid="ignore", over="ignore"):
-        value = np.zeros(len(t.x))
-        dvalue = np.zeros(len(t.x))
-        if state.coarse_params is not None:
-            u, du = _coarse_eval(state, t.x)
-            value += u
-            dvalue += du
-        bc_value = np.zeros(len(t.bc_x)) if t.bc_x is not None else None
-        for ws in state.workspaces:
-            u, du, ub = _member_values(state, ws, memo)
-            value[ws.point_ids] += ws.win * u
-            dvalue[ws.point_ids] += ws.dwin * u + ws.win * (ws.input_scale * du)
-            if bc_value is not None and len(ws.bc_sel):
-                bc_value[ws.bc_sel] += ws.bc_win * ub
-        if t.cons is not None:
-            r = t.dcons * value + t.cons * dvalue - t.rhs
-            boundary = 0.0
-        else:
-            r = dvalue - t.rhs
-            if state.coarse_params is not None:
-                ub, _ = _coarse_eval(state, t.bc_x)
-                bc_value += ub
-            boundary = soft_boundary_loss(state.problem.constraint,
-                                          zip(bc_value, t.bc_targets))
-    _check_finite_residual(state, r)
-    return _split_breakdown(state, r * r, boundary)
+    into interior and overlap parts (plus the soft boundary penalty). The
+    split runs against a cache refreshed from the current parameters, so
+    it is the true global loss whatever state.cache holds."""
+    memo = _ForwardMemo()
+    return _checked_loss(state, refresh_overlap_cache(state, memo), memo)
 
 
 def _make_local_loss_fn(state, j, cache):
     """Closure for loss_gradient: live network j against the frozen cache.
     Returns (batch inputs, loss_fn)."""
     ws = state.workspaces[j - 1]
-    n = len(state.tables.x)
-    bg = cache.values[j - 1]
-    dbg = cache.dvalues[j - 1]
-    hard = state.tables.cons is not None
-    n_own = len(ws.x_hat)
-
-    if hard:
-        def loss_fn(u, du):
-            value = ws.win * u + bg
-            dvalue = ws.dwin * u + ws.win * (ws.input_scale * du) + dbg
-            r = ws.dcons * value + ws.cons * dvalue - ws.rhs
-            loss = (r @ r) / n
-            ru = (2.0 / n) * r
-            gu = ru * (ws.dcons * ws.win + ws.cons * ws.dwin)
-            gd = ru * (ws.cons * (ws.win * ws.input_scale))
-            return loss, gu, gd
-        return ws.x_hat, loss_fn
-
-    n_bc = len(state.tables.bc_x)
-    targets = state.tables.bc_targets[ws.bc_sel]
-    bc_bg = cache.bc_values[j - 1]
-    weight = state.tables.bc_weight
+    t = state.tables
+    n = len(t.x)
+    n_own = len(ws.x)
+    bg, dbg = cache.values[j - 1], cache.dvalues[j - 1]
+    boundary = ws.bc_sel is not None and len(ws.bc_sel) > 0
+    if boundary:
+        n_bc = len(t.bc_x)
+        targets = t.bc_targets[ws.bc_sel]
+        bc_bg = cache.bc_values[j - 1]
 
     def loss_fn(u_all, du_all):
-        u, du = u_all[:n_own], du_all[:n_own]
-        dvalue = ws.dwin * u + ws.win * (ws.input_scale * du) + dbg
-        r = dvalue - ws.rhs
+        r = _residual(ws, u_all[:n_own], du_all[:n_own], bg, dbg)
         loss = (r @ r) / n
         ru = (2.0 / n) * r
-        gu = ru * ws.dwin
-        gd = ru * (ws.win * ws.input_scale)
-        if len(ws.bc_sel):
-            ub = u_all[n_own:]
-            err = ws.bc_win * ub + bc_bg - targets
-            loss = loss + weight * (err @ err) / n_bc
-            gub = (2.0 * weight / n_bc) * err * ws.bc_win
-            gu = np.concatenate([gu, gub])
-            gd = np.concatenate([gd, np.zeros(len(ub))])
+        gu = ru * ws.dr_du
+        gd = ru * ws.dr_ddu
+        if boundary:
+            err = ws.bc_win * u_all[n_own:] + bc_bg - targets
+            loss = loss + t.bc_weight * (err @ err) / n_bc
+            gu = np.concatenate([gu, (2.0 * t.bc_weight / n_bc) * err * ws.bc_win])
+            gd = np.concatenate([gd, np.zeros(len(err))])
         return loss, gu, gd
 
     return ws.inputs, loss_fn
@@ -509,36 +452,6 @@ def local_loss(state, j, cache=None):
         u, du = eval_batch(state.params[j - 1], inputs)
         loss, _, _ = loss_fn(u, du)
     return float(loss)
-
-
-def _stale_breakdown(state, memo=None):
-    """Loss as the optimizers currently see it: every point evaluated with
-    its lowest-indexed owner's live network against the (possibly stale)
-    cache."""
-    t = state.tables
-    r_all = np.zeros(len(t.x))
-    bc_value = np.zeros(len(t.bc_x)) if t.bc_x is not None else None
-    hard = t.cons is not None
-    with np.errstate(invalid="ignore", over="ignore"):
-        for ws in state.workspaces:
-            u, du, ub = _member_values(state, ws, memo)
-            value = ws.win * u + state.cache.values[ws.index - 1]
-            dvalue = (ws.dwin * u + ws.win * (ws.input_scale * du)
-                      + state.cache.dvalues[ws.index - 1])
-            if hard:
-                r = ws.dcons * value + ws.cons * dvalue - ws.rhs
-            else:
-                r = dvalue - ws.rhs
-            r_all[ws.point_ids[ws.owned_mask]] = r[ws.owned_mask]
-            if bc_value is not None and len(ws.bc_sel):
-                full = ws.bc_win * ub + state.cache.bc_values[ws.index - 1]
-                bc_value[ws.bc_sel[ws.bc_owned]] = full[ws.bc_owned]
-        boundary = 0.0
-        if bc_value is not None:
-            boundary = soft_boundary_loss(state.problem.constraint,
-                                          zip(bc_value, t.bc_targets))
-        squared = r_all * r_all
-    return _split_breakdown(state, squared, boundary)
 
 
 def _train_round(state, active, on_step, memo=None):
@@ -573,17 +486,15 @@ def train_round(state, active):
 
 @dataclass
 class _EvalGrid:
+    """A point set's per-subdomain tables for value-only evaluation."""
+
     x: np.ndarray
-    exact: np.ndarray
-    exact_norm: float
     cons: np.ndarray | None
     entries: list          # per subdomain (idx, win, x_hat)
     coarse_value: np.ndarray | None   # the coarse network is frozen in train()
 
 
-def _make_eval_grid(state, n_points):
-    x = sample_collocation(state.problem.domain, n_points)
-    exact = np.asarray(state.problem.exact_solution(x), dtype=float)
+def _make_eval_grid(state, x):
     hard = state.problem.constraint.kind == "hard"
     entries = []
     for ws, (idx, win, _) in zip(state.workspaces,
@@ -592,7 +503,7 @@ def _make_eval_grid(state, n_points):
         x_hat, _ = _norm_inputs(sd.left, sd.right, x[idx])
         entries.append((idx, win, x_hat))
     return _EvalGrid(
-        x=x, exact=exact, exact_norm=float(np.linalg.norm(exact)),
+        x=x,
         cons=np.asarray(state.problem.constraint.multiplier(x), dtype=float) if hard else None,
         entries=entries,
         coarse_value=_coarse_value(state, x) if state.coarse_params is not None else None)
@@ -613,11 +524,20 @@ def _grid_solution(state, grid):
     return grid.cons * value if grid.cons is not None else value
 
 
-def _grid_l2(state, grid):
-    """Relative L2 error on the grid, and the prediction it measured."""
+def solution_values(state, xs):
+    """Constrained solution at xs: the window-weighted sum of the local
+    networks plus the coarse term, times the hard constraint's multiplier
+    (the raw sum under a soft constraint)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _grid_solution(state, _make_eval_grid(state, np.asarray(xs, dtype=float)))
+
+
+def _grid_l2(state, grid, exact):
+    """Relative L2 error against exact on the grid, and the prediction it
+    measured."""
     with np.errstate(invalid="ignore", over="ignore"):
         pred = _grid_solution(state, grid)
-    return float(np.linalg.norm(pred - grid.exact) / grid.exact_norm), pred
+        return float(np.linalg.norm(pred - exact) / np.linalg.norm(exact)), pred
 
 
 def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
@@ -625,7 +545,12 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
     """Run `rounds` schedule-driven rounds, recording the stale-cache loss
     split and the relative L2 error on a dense grid every record_interval
     optimizer steps (and at the final step). On numerical failure the
-    partial report is attached to the raised error."""
+    partial report is attached to the raised error.
+
+    The initial and final losses are the loss split against state.cache,
+    which must be fresh when train is called: create_state,
+    train_coarse_then_local and every round leave it so. They then equal
+    global_loss(state) at the same two points."""
     if not isinstance(rounds, (int, np.integer)) or rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds!r}")
     if not isinstance(record_interval, (int, np.integer)) or record_interval < 1:
@@ -633,15 +558,17 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
     if schedule.n_subdomains != state.n_subdomains:
         raise ValueError("schedule and state disagree on the number of subdomains")
     report = report if report is not None else RunReport()
-    grid = _make_eval_grid(state, l2_points if l2_points is not None
-                           else 10 * len(state.tables.x))
+    grid = _make_eval_grid(state, sample_collocation(
+        state.problem.domain,
+        l2_points if l2_points is not None else 10 * len(state.tables.x)))
+    exact = np.asarray(state.problem.exact_solution(grid.x), dtype=float)
     started = time.perf_counter()
     # Each network's tangent forward is computed at most once per parameter
-    # version and shared by the cache refresh, the stale-loss record and the
-    # next step's gradient.
+    # version and shared by the loss splits, the cache refresh and the next
+    # step's gradient.
     memo = _ForwardMemo()
     if report.initial_loss is None:
-        report.initial_loss = global_loss(state, memo).total
+        report.initial_loss = _checked_loss(state, state.cache, memo).total
     final_step = state.step + int(rounds) * state.communication_interval
 
     def on_step():
@@ -650,7 +577,7 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
             # Grid first: after the stale split, the grid's temporaries
             # would sit on top of the forwards that split leaves in the
             # memo and raise peak memory.
-            l2, _ = _grid_l2(state, grid)
+            l2, _ = _grid_l2(state, grid, exact)
             bd = _stale_breakdown(state, memo)
             report.records.append(LossRecord(
                 step_offset + s, state.round, phase, bd.total, bd.interior,
@@ -665,11 +592,11 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
         err.report = report
         raise
     report.wall_time_s += time.perf_counter() - started
+    report.final_loss = _checked_loss(state, state.cache, memo)
     memo.clear()
-    report.final_loss = global_loss(state)
-    report.final_l2, report.solution_pred = _grid_l2(state, grid)
+    report.final_l2, report.solution_pred = _grid_l2(state, grid, exact)
     report.solution_x = grid.x
-    report.solution_exact = grid.exact
+    report.solution_exact = exact
     report.phases[phase] = report.phases.get(phase, 0) + int(rounds) * state.communication_interval
     return report
 
@@ -723,10 +650,11 @@ def _train_single(params, problem, points, optimizer, steps, *, norm,
             loss, _, _ = loss_fn(u, du)
         return float(loss)
 
-    def current_pred():
+    def current_l2():
         with np.errstate(invalid="ignore", over="ignore"):
             u = eval_values(params, grid_hat)
-        return grid_cons * u if hard else u
+            pred = grid_cons * u if hard else u
+            return float(np.linalg.norm(pred - grid_exact) / grid_norm), pred
 
     started = time.perf_counter()
     if report.initial_loss is None:
@@ -742,14 +670,13 @@ def _train_single(params, problem, points, optimizer, steps, *, norm,
         optimizer.step(params, grad)
         if s % record_interval == 0 or s == steps:
             loss = current_loss()
-            l2 = float(np.linalg.norm(current_pred() - grid_exact) / grid_norm)
+            l2, _ = current_l2()
             report.records.append(LossRecord(step_offset + s, s - 1, phase,
                                              loss, loss, 0.0, 0.0, l2))
     report.wall_time_s += time.perf_counter() - started
     loss = current_loss()
-    pred = current_pred()
     report.final_loss = LossBreakdown(loss, loss, 0.0)
-    report.final_l2 = float(np.linalg.norm(pred - grid_exact) / grid_norm)
+    report.final_l2, pred = current_l2()
     report.solution_x = grid_x
     report.solution_pred = pred
     report.solution_exact = grid_exact

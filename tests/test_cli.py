@@ -1,10 +1,13 @@
 """End-to-end command line runs against tiny configs in tmp dirs."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbpinn.cli import main, resolve_outdir
 from fbpinn.config import parse_config
@@ -206,6 +209,72 @@ def test_sweep_schedule_checked_against_every_subdomain_count(tmp_path, capsys):
     assert main(["sweep", str(cfg), "--out", str(out)]) == 2
     assert "error: schedule.colors" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, patch", [
+    ("run", {"decomposition": {"subdomains": 8}}),
+    # J=2 is covered by the 3 points, J=8 is not
+    ("sweep", {"decomposition": {"subdomains": 2},
+               "sweep": {"subdomains": [2, 8], "communication_intervals": [1]}}),
+])
+def test_subdomains_without_points_exit_2(tmp_path, capsys, command, patch):
+    cfg = write_config(tmp_path, training={"steps": 3, "collocation_points": 3},
+                       **patch)
+    out = tmp_path / "never"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: training.collocation_points = 3 leaves subdomains [" in err
+    assert "of 8 without a collocation point" in err
+    assert not out.exists()
+
+
+@st.composite
+def tiny_configs(draw):
+    """A subcommand and a tiny config that parse_config accepts."""
+    command = draw(st.sampled_from(["run", "coarse", "sweep"]))
+    kind = draw(st.sampled_from(["parallel", "alternating", "colored", "explicit"]))
+    groups = st.lists(st.lists(st.integers(0, 9), max_size=4), min_size=1, max_size=4)
+    data = {
+        "problem": {"omega": 3.0,
+                    "constraint": draw(st.sampled_from(["hard", "soft"]))},
+        "decomposition": {"subdomains": draw(st.integers(1, 8))},
+        "network": {"hidden_layers": 1, "hidden_width": 4},
+        "training": {"optimizer": draw(st.sampled_from(["adam", "sgd"])),
+                     "learning_rate": draw(st.sampled_from([1e-3, 1e300])),
+                     "steps": draw(st.integers(1, 6)),
+                     "communication_interval": draw(st.integers(1, 3)),
+                     "record_interval": draw(st.integers(1, 4)),
+                     "collocation_points": draw(st.integers(2, 40)),
+                     "seed": draw(st.integers(0, 3))},
+        "schedule": {"kind": kind},
+        "coarse": {"enabled": draw(st.booleans()), "points": draw(st.integers(2, 20)),
+                   "epochs": draw(st.integers(0, 3)),
+                   "hidden_layers": 1, "hidden_width": 4},
+        "sweep": {"subdomains": draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)),
+                  "communication_intervals": draw(
+                      st.lists(st.integers(1, 3), min_size=1, max_size=2))},
+    }
+    if kind == "colored":
+        data["schedule"]["colors"] = draw(groups)
+    if kind == "explicit":
+        data["schedule"]["sets"] = draw(groups)
+    parse_config(data)
+    return command, data
+
+
+@given(case=tiny_configs())
+@settings(max_examples=60, deadline=None)
+def test_cli_contract_holds_for_tiny_configs(case):
+    # exit 0, 2 (nothing written) or 3, and never an exception
+    command, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = Path(tmp) / "out"
+        code = main([command, str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out.exists()
 
 
 def test_coarse_subcommand_requires_enabled(tmp_path, capsys):

@@ -85,6 +85,10 @@ def test_non_object_blocks_rejected():
     ({"sweep": {"communication_intervals": [0]}},
      "sweep.communication_intervals must be a non-empty list of integers >= 1"),
     ({"output_dir": ""}, "output_dir must be a non-empty string"),
+    ({"schedule": {"kind": "colored", "colors": [1, 2]}},
+     "schedule.colors must be a non-empty list of index lists"),
+    ({"schedule": {"kind": "explicit", "sets": [[1, None]]}},
+     "schedule.sets must be a non-empty list of index lists"),
 ])
 def test_validation_names_the_offending_key(patch, message):
     with pytest.raises(ConfigError, match=message):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from fbpinn.decomposition import (Interval, TripleOverlapError,
                                   build_decomposition,
                                   build_decomposition_from_width,
-                                  classify_points, sample_collocation, window,
-                                  window_table)
+                                  classify_points, empty_subdomains,
+                                  sample_collocation, window, window_table)
 
 EIGHT = Interval(0.0, 8.0)
 
@@ -168,6 +168,15 @@ def test_classify_points_membership():
     for m in sets.members:
         counts[m] += 1
     assert np.array_equal(counts, [1, 2, 1, 2, 1])
+
+
+@given(n_sub=st.integers(1, 12), overlap=st.floats(0.05, 0.95),
+       pts=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_empty_subdomains_are_those_classify_points_leaves_empty(n_sub, overlap, pts):
+    dec = build_decomposition(EIGHT, n_sub, overlap)
+    members = classify_points(dec, pts).members
+    assert empty_subdomains(dec, pts) == [j for j, m in enumerate(members, 1) if not len(m)]
 
 
 def test_classify_points_rejects_outside():

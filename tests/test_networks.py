@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbpinn.networks import (MlpParams, NumericalFailureError, _forward,
-                             eval_batch, eval_values,
-                             eval_with_input_derivative, init_params,
+                             eval_batch, eval_values, init_params,
                              loss_gradient, params_from_jsonable,
                              params_to_jsonable)
 
@@ -101,18 +100,10 @@ def test_input_derivative_vs_finite_differences():
     rng = np.random.default_rng(7)
     for sizes in ([1, 1], [1, 6, 1], [1, 16, 16, 1]):
         p = init_params(sizes, seed=int(rng.integers(100)))
-        for x in rng.uniform(-2, 2, size=5):
-            got = eval_with_input_derivative(p, x).dvalue_dx
+        xs = rng.uniform(-2, 2, size=5)
+        _, du = eval_batch(p, xs)
+        for x, got in zip(xs, du):
             assert abs(got - fd_input_derivative(p, x)) < 1e-6
-
-
-def test_eval_with_input_derivative_matches_batch():
-    p = init_params([1, 5, 1], seed=2)
-    u, du = eval_batch(p, [0.3])
-    r = eval_with_input_derivative(p, 0.3)
-    assert r.value == u[0] and r.dvalue_dx == du[0]
-    with pytest.raises(ValueError):
-        eval_with_input_derivative(p, np.nan)
 
 
 def test_loss_gradient_vs_finite_differences():
@@ -162,8 +153,8 @@ def test_batch_matches_pointwise():
     xs = np.linspace(-1, 1, 11)
     u, du = eval_batch(p, xs)
     for k, x in enumerate(xs):
-        r = eval_with_input_derivative(p, x)
-        np.testing.assert_allclose([r.value, r.dvalue_dx], [u[k], du[k]],
+        u1, du1 = eval_batch(p, [x])
+        np.testing.assert_allclose([u1[0], du1[0]], [u[k], du[k]],
                                    rtol=1e-13, atol=0)
 
 

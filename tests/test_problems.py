@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fbpinn.decomposition import Interval
-from fbpinn.problems import (HardConstraint, ResidualInput, SoftConstraint,
-                             apply_constraint, identity_constraint,
-                             make_single_frequency, make_two_frequency,
-                             residual, soft_boundary_loss, tanh_constraint)
+from fbpinn.problems import (HardConstraint, SoftConstraint,
+                             identity_constraint, make_single_frequency,
+                             make_two_frequency, soft_boundary_loss,
+                             tanh_constraint)
 
 DOM = Interval(-2 * np.pi, 2 * np.pi)
 
@@ -52,51 +52,52 @@ def test_problem_constructors_reject_bad_input():
         make_single_frequency(15.0, Interval(1.0, 2.0))
 
 
+def constrained(constraint, x, u, du):
+    """Product rule on arrays: (c u, c' u + c du/dx) from a raw pair."""
+    c = np.asarray(constraint.multiplier(x), dtype=float)
+    dc = np.asarray(constraint.multiplier_prime(x), dtype=float)
+    return c * u, dc * u + c * du
+
+
 def test_tanh_constraint_pins_origin():
-    c = tanh_constraint()
-    for u, du in ((1.0, 0.0), (-3.7, 12.0), (1e6, -1e6)):
-        out = apply_constraint(c, 0.0, ResidualInput(u, du))
-        assert out.u == 0.0
+    u, du = np.array([1.0, -3.7, 1e6]), np.array([0.0, 12.0, -1e6])
+    value, _ = constrained(tanh_constraint(), np.zeros(3), u, du)
+    assert np.all(value == 0.0)
 
 
-def test_apply_constraint_product_rule():
-    c = tanh_constraint()
-    out = apply_constraint(c, 0.3, ResidualInput(2.0, 5.0))
+def test_constraint_product_rule():
+    value, dvalue = constrained(tanh_constraint(), np.array([0.3]),
+                                np.array([2.0]), np.array([5.0]))
     t = np.tanh(0.3)
-    assert out.u == pytest.approx(t * 2.0, rel=1e-15)
-    assert out.du_dx == pytest.approx((1 - t * t) * 2.0 + t * 5.0, rel=1e-15)
+    assert value[0] == pytest.approx(t * 2.0, rel=1e-15)
+    assert dvalue[0] == pytest.approx((1 - t * t) * 2.0 + t * 5.0, rel=1e-15)
 
 
-def test_apply_constraint_derivative_vs_finite_differences():
+def test_constraint_derivative_vs_finite_differences():
     # constant raw pair (u, 0): d(c u)/dx = c'(x) u
     c = tanh_constraint()
     h = 1e-6
-    for x in (-2.0, -0.4, 0.0, 0.7, 3.1):
-        got = apply_constraint(c, x, ResidualInput(1.0, 0.0)).du_dx
-        fd = (np.tanh(x + h) - np.tanh(x - h)) / (2 * h)
-        assert got == pytest.approx(fd, rel=1e-8, abs=1e-9)
+    xs = np.array([-2.0, -0.4, 0.0, 0.7, 3.1])
+    _, got = constrained(c, xs, np.ones(5), np.zeros(5))
+    fd = (np.tanh(xs + h) - np.tanh(xs - h)) / (2 * h)
+    np.testing.assert_allclose(got, fd, rtol=1e-8, atol=1e-9)
 
 
 def test_identity_constraint_is_transparent():
-    c = identity_constraint()
-    out = apply_constraint(c, 1.7, ResidualInput(3.0, 4.0))
-    assert (out.u, out.du_dx) == (3.0, 4.0)
+    value, dvalue = constrained(identity_constraint(), np.array([1.7, -0.2]),
+                                np.array([3.0, -1.0]), np.array([4.0, 0.5]))
+    assert value.tolist() == [3.0, -1.0] and dvalue.tolist() == [4.0, 0.5]
 
 
 def test_residual_of_exact_solution_vanishes():
+    # du/dx - f(x) of the exact solution's derivative
     prob = make_single_frequency(3.0, DOM)
-    for x in (-4.0, -1.3, 0.5, 2.0):
-        exact = ResidualInput(float(prob.exact_solution(x)),
-                              float(prob.exact_derivative(x)))
-        assert residual(prob, x, exact) == pytest.approx(0.0, abs=1e-15)
-    off = ResidualInput(0.0, 1.0)
-    assert residual(prob, 0.0, off) == pytest.approx(1.0 - np.cos(0.0))
+    xs = np.array([-4.0, -1.3, 0.5, 2.0])
+    np.testing.assert_allclose(prob.exact_derivative(xs) - prob.rhs(xs), 0.0,
+                               rtol=0, atol=1e-15)
 
 
 def test_constraint_type_checks():
-    soft = SoftConstraint(points=(0.0,), targets=(0.0,), weight=2.0)
-    with pytest.raises(TypeError):
-        apply_constraint(soft, 0.0, ResidualInput(1.0, 1.0))
     with pytest.raises(TypeError):
         soft_boundary_loss(tanh_constraint(), [(0.0, 0.0)])
 

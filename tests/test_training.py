@@ -5,14 +5,13 @@ import pytest
 
 from fbpinn import networks, training
 from fbpinn.decomposition import (Interval, build_decomposition,
-                                  sample_collocation, window)
-from fbpinn.networks import NumericalFailureError, eval_batch, init_params
+                                  empty_subdomains, sample_collocation, window)
+from fbpinn.networks import NumericalFailureError, eval_batch, loss_gradient
 from fbpinn.problems import SoftConstraint, make_single_frequency
 from fbpinn.scheduling import (active_set, alternating_schedule,
                                colored_schedule, parallel_schedule)
 from fbpinn.training import (create_state, global_loss, local_loss,
-                             refresh_overlap_cache, evaluate_global,
-                             evaluate_global_batch, solution_values, train,
+                             refresh_overlap_cache, solution_values, train,
                              train_coarse_then_local, train_pinn, train_round,
                              _stale_breakdown, _train_single, RunReport)
 
@@ -75,16 +74,13 @@ def test_evaluate_global_matches_manual_sum():
     state = small_state(n_sub=3, n_pts=40, seed=2)
     rng = np.random.default_rng(0)
     xs = rng.uniform(DOM.a, DOM.b, size=25)
-    batch_v, batch_d = evaluate_global_batch(state, xs)
+    got = solution_values(state, xs)
     for k, x in enumerate(xs):
-        v, dv = evaluate_global(state, x)
-        mv, mdv = manual_raw_global(state, x)
-        assert v == pytest.approx(mv, rel=1e-12, abs=1e-14)
-        assert dv == pytest.approx(mdv, rel=1e-12, abs=1e-12)
-        assert batch_v[k] == pytest.approx(v, rel=1e-12, abs=1e-14)
-        assert batch_d[k] == pytest.approx(dv, rel=1e-12, abs=1e-12)
+        mv, _ = manual_raw_global(state, x)
+        want = float(state.problem.constraint.multiplier(x)) * mv
+        assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-14)
     with pytest.raises(ValueError):
-        evaluate_global(state, DOM.b + 1.0)
+        solution_values(state, [DOM.b + 1.0])
 
 
 def test_global_loss_zero_networks_equals_mean_squared_rhs():
@@ -175,6 +171,27 @@ def test_local_loss_manual_two_subdomains():
     assert local_loss(state, 1) == pytest.approx(acc / n, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["hard", "soft", "coarse"])
+def test_local_gradient_matches_finite_differences(kind):
+    # the closure's d(residual)/du and d(residual)/d(du) against central
+    # differences of local_loss in every parameter of network 2
+    make = {"hard": small_state, "soft": soft_state, "coarse": coarse_state}[kind]
+    state = make(n_sub=3, n_pts=40, seed=4)
+    inputs, loss_fn = training._make_local_loss_fn(state, 2, state.cache)
+    loss, grad = loss_gradient(state.params[1], inputs, loss_fn)
+    assert loss == pytest.approx(local_loss(state, 2), rel=1e-13)
+    h = 1e-6
+    for a, g in zip(state.params[1].arrays(), grad.arrays()):
+        for idx in np.ndindex(a.shape):
+            orig = a[idx]
+            a[idx] = orig + h
+            up = local_loss(state, 2)
+            a[idx] = orig - h
+            down = local_loss(state, 2)
+            a[idx] = orig
+            assert g[idx] == pytest.approx((up - down) / (2 * h), rel=1e-5, abs=1e-9)
+
+
 def test_inactive_parameters_bitwise_frozen():
     state = small_state(n_sub=4, n_pts=60)
     sched = alternating_schedule(4)
@@ -259,6 +276,17 @@ def test_create_state_validation():
                      layer_sizes=[1, 4, 1], communication_interval=0)
 
 
+def test_create_state_rejects_subdomains_without_points():
+    prob = make_single_frequency(3.0, DOM)
+    dec = build_decomposition(DOM, 8, 0.7)
+    pts = sample_collocation(DOM, 3)
+    empty = [j for j, sd in enumerate(dec.subdomains, 1)
+             if not any(sd.contains(x) for x in pts)]
+    assert empty and empty_subdomains(dec, pts) == empty
+    with pytest.raises(ValueError, match=rf"subdomains \[{', '.join(map(str, empty))}\]"):
+        create_state(prob, dec, pts, layer_sizes=[1, 4, 1])
+
+
 def test_numerical_failure_carries_location_and_report():
     # huge step blows the solution up by the second optimizer step
     state = small_state(n_sub=2, n_pts=40, optimizer="sgd", learning_rate=1e300)
@@ -317,21 +345,22 @@ def test_train_pinn_descends_and_validates():
         train_pinn(prob, pts, layer_sizes=[1, 8, 1], steps=0)
 
 
-def coarse_state(seed=0, n_sub=3, n_pts=60):
+def coarse_state(seed=0, n_sub=3, n_pts=60, **kw):
     prob = make_single_frequency(3.0, DOM)
     dec = build_decomposition(DOM, n_sub, 0.7)
     pts = sample_collocation(DOM, n_pts)
     return create_state(prob, dec, pts, layer_sizes=[1, 6, 1],
-                        master_seed=seed, coarse_layer_sizes=[1, 6, 1])
+                        master_seed=seed, coarse_layer_sizes=[1, 6, 1], **kw)
 
 
 def test_coarse_network_contributes_to_evaluation():
     state = coarse_state(seed=2)
     x = 1.3
-    v, dv = evaluate_global(state, x)
-    mv, mdv = manual_raw_global(state, x)
-    assert v == pytest.approx(mv, rel=1e-12)
-    assert dv == pytest.approx(mdv, rel=1e-12)
+    mv, _ = manual_raw_global(state, x)
+    want = float(state.problem.constraint.multiplier(x)) * mv
+    assert solution_values(state, [x])[0] == pytest.approx(want, rel=1e-12)
+    # the derivative enters through the residual
+    assert global_loss(state).total == pytest.approx(manual_global_loss(state), rel=1e-12)
     # cache background equals the coarse term at interior points
     ws = state.workspaces[0]
     interior = ~ws.overlap_mask
@@ -403,7 +432,7 @@ def test_soft_constraint_loss_includes_boundary_term():
     assert bd.boundary > 0.0
     assert bd.total == pytest.approx(bd.interior + bd.overlap + bd.boundary,
                                      rel=1e-12)
-    raw = evaluate_global(state, 0.0)[0]
+    raw = solution_values(state, [0.0])[0]
     assert bd.boundary == pytest.approx(2.0 * raw ** 2, rel=1e-12)
 
 
@@ -415,6 +444,20 @@ def test_soft_constraint_training_descends():
     assert end.total < start
     stale = _stale_breakdown(state)
     assert stale.total == pytest.approx(end.total, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft", "coarse"])
+@pytest.mark.parametrize("p", [1, 3])
+def test_train_losses_equal_global_loss_before_and_after(kind, p):
+    # train measures its initial and final loss against its own fresh cache
+    # and memo forwards; global_loss refreshes a cache and runs the same
+    # forwards on the same rows, so the two agree bitwise, field by field
+    make = {"hard": small_state, "soft": soft_state, "coarse": coarse_state}[kind]
+    state = make(n_sub=4, n_pts=60, seed=8, communication_interval=p)
+    before = global_loss(state)
+    rep = train(state, alternating_schedule(4), 5, record_interval=2, l2_points=50)
+    assert rep.initial_loss == before.total
+    assert rep.final_loss == global_loss(state)
 
 
 def _same_cache(a, b):
@@ -472,14 +515,10 @@ def test_one_tangent_forward_per_parameter_version(monkeypatch, kind):
     train(state, sched, 10, record_interval=10, l2_points=200)
 
     counts = Counter(tangent)
-    final = {(j, b"".join(a.tobytes() for a in q.arrays()))
-             for j, q in enumerate(state.params, 1)}
-    # one forward per version (v0 at the initial loss, then after every
-    # step of the subdomain), plus the fresh final global_loss
-    for key, n in counts.items():
-        assert n == (2 if key in final else 1)
+    # one forward per version: v0 at the initial loss, then one after every
+    # step of the subdomain, shared by the final loss
+    assert set(counts.values()) == {1}
     steps = [10] * 4 if kind == "parallel" else [3, 3, 2, 2]
-    assert len(counts) == sum(s + 1 for s in steps)
-    assert len(tangent) == sum(s + 1 for s in steps) + 4
+    assert len(tangent) == sum(s + 1 for s in steps)
     # the dense grid, value only: the step-10 record and the final L2
     assert len(values) == 2 * 4
