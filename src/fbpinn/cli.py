@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, build_problem, build_schedule, load_config
+from .config import (ConfigError, build_problem, build_schedule,
+                     check_whole_rounds, load_config)
 from .decomposition import (build_decomposition, empty_subdomains,
                             sample_collocation)
 from .networks import NumericalFailureError, eval_values
@@ -60,6 +61,16 @@ def _check_subdomain_count(cfg, n_subdomains):
         raise ConfigError(
             f"training.collocation_points = {cfg.training.collocation_points} "
             f"leaves subdomains {empty} of {n_subdomains} without a collocation point")
+
+
+def _check_outdir(outdir):
+    """ConfigError if outdir, or a directory above it, is an existing file."""
+    path = os.path.abspath(outdir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"output directory {str(outdir)!r}: "
+                          f"{path!r} exists and is not a directory")
 
 
 def _build_state(cfg, with_coarse):
@@ -175,11 +186,15 @@ def main(argv=None):
             else (cfg.decomposition.subdomains,)
         for n_subdomains in counts:
             _check_subdomain_count(cfg, n_subdomains)
+        if args.command == "sweep":
+            for p in cfg.sweep.communication_intervals:
+                check_whole_rounds(cfg, p, "sweep.communication_intervals")
+        outdir = resolve_outdir(args.out, cfg)
+        _check_outdir(outdir)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    outdir = resolve_outdir(args.out, cfg)
     try:
         if args.command == "run":
             _, report = run_single(cfg, outdir)

@@ -186,6 +186,7 @@ def validate_config(cfg):
     _require(_is_int(t.communication_interval) and t.communication_interval >= 1,
              "training.communication_interval must be an integer >= 1")
     _require(_is_int(t.steps) and t.steps >= 1, "training.steps must be an integer >= 1")
+    check_whole_rounds(cfg, t.communication_interval, "training.communication_interval")
     _require(_is_int(t.record_interval) and t.record_interval >= 1,
              "training.record_interval must be an integer >= 1")
     _require(_is_int(t.collocation_points) and t.collocation_points >= 2,
@@ -221,6 +222,14 @@ def validate_config(cfg):
     _require(isinstance(cfg.output_dir, str) and cfg.output_dir,
              "output_dir must be a non-empty string")
     return cfg
+
+
+def check_whole_rounds(cfg, interval, key):
+    """ConfigError unless training.steps is a whole number of rounds of
+    `interval` steps, a value of the config key `key`."""
+    _require(cfg.training.steps % interval == 0,
+             f"training.steps = {cfg.training.steps} must be a multiple of "
+             f"{interval} ({key})")
 
 
 def load_config(path):

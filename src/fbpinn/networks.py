@@ -10,7 +10,7 @@ would need a second tangent slot in _forward/_backward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -25,38 +25,56 @@ class NumericalFailureError(RuntimeError):
         self.step = step
 
 
-@dataclass
-class MlpParams:
+class _FlatLayers:
+    """Per-layer weights and biases held as C-contiguous views into one
+    float64 vector, flat, in arrays() order: weights, then biases. A whole
+    network is then updated or tested with a single vector operation."""
+
+    def __init__(self, weights, biases):
+        arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+        layout, start = [], 0
+        for a in arrays:
+            layout.append((start, start + a.size, a.shape))
+            start += a.size
+        self._attach(np.concatenate([a.ravel() for a in arrays]), tuple(layout),
+                     len(weights))
+
+    def _attach(self, flat, layout, n_weights):
+        # layout: (start, stop, shape) of each array within flat
+        self.flat, self._layout = flat, layout
+        views = [flat[a:b].reshape(shape) for a, b, shape in layout]
+        self.weights, self.biases = views[:n_weights], views[n_weights:]
+
+    def arrays(self):
+        return self.weights + self.biases
+
+
+class MlpParams(_FlatLayers):
     """Weights and biases of a fully connected network with scalar in/out.
 
     Hidden layers use tanh, the output layer is linear. weights[l] has shape
-    (fan_out, fan_in), biases[l] has shape (fan_out,), all float64.
+    (fan_out, fan_in), biases[l] has shape (fan_out,), all float64 views into
+    params.flat; the constructor copies its arrays into that buffer.
     """
-
-    weights: list
-    biases: list
 
     @property
     def layer_sizes(self):
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def copy(self):
-        return MlpParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
-
-    def arrays(self):
-        return list(self.weights) + list(self.biases)
+        return MlpParams(self.weights, self.biases)
 
 
-@dataclass
-class ParamGradient:
-    """Gradient with the same layout as MlpParams."""
+class ParamGradient(_FlatLayers):
+    """Gradient with the same layout as MlpParams, flat buffer included."""
 
-    weights: list
-    biases: list
-
-    def arrays(self):
-        return list(self.weights) + list(self.biases)
+    @classmethod
+    def empty_like(cls, params):
+        """Uninitialised gradient laid out like params, for _backward to fill."""
+        grad = cls.__new__(cls)
+        grad._attach(np.empty_like(params.flat), params._layout,
+                     len(params.weights))
+        return grad
 
 
 def init_params(layer_sizes, seed):
@@ -111,10 +129,8 @@ def _backward(params, tape, dloss_du, dloss_ddu):
     #   Wbar = zbar^T a_prev + dzbar^T da_prev,  bbar = sum zbar
     abar = np.asarray(dloss_du, dtype=float).reshape(-1, 1)
     dbar = np.asarray(dloss_ddu, dtype=float).reshape(-1, 1)
-    n_layers = len(params.weights)
-    gw = [None] * n_layers
-    gb = [None] * n_layers
-    for ell in reversed(range(n_layers)):
+    grad = ParamGradient.empty_like(params)
+    for ell in reversed(range(len(params.weights))):
         a_prev, da_prev, act, dact = tape[ell]
         W = params.weights[ell]
         if act is None:
@@ -123,12 +139,14 @@ def _backward(params, tape, dloss_du, dloss_ddu):
             phi1 = 1.0 - act * act
             zbar = abar * phi1 + dbar * (-2.0 * act * dact)
             dzbar = dbar * phi1
-        gw[ell] = zbar.T @ a_prev + dzbar.T @ da_prev
-        gb[ell] = zbar.sum(axis=0)
+        gw = grad.weights[ell]
+        np.matmul(zbar.T, a_prev, out=gw)
+        gw += dzbar.T @ da_prev
+        np.add.reduce(zbar, axis=0, out=grad.biases[ell])
         if ell:
             abar = zbar @ W
             dbar = dzbar @ W
-    return ParamGradient(gw, gb)
+    return grad
 
 
 def eval_batch(params, x_hat):
@@ -158,33 +176,36 @@ def loss_gradient(params, x_hat, loss_fn, forward=None):
     when given, is the (u, du, tape) of _forward(params, x_hat) at the
     current parameters and replaces that pass; it is checked like a fresh one.
     """
-    if forward is None:
-        with np.errstate(invalid="ignore", over="ignore"):
-            forward = _forward(params, x_hat)
-    u, du, tape = forward
-    for arr in (u, du):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NumericalFailureError(
-                f"non-finite network output at x_hat={float(np.asarray(x_hat).ravel()[i])!r}",
-                point=float(np.asarray(x_hat).ravel()[i]))
+    # Each array is tested by one finite sum; the per-element search that
+    # locates the failure runs only when a sum is not finite.
     with np.errstate(invalid="ignore", over="ignore"):
+        if forward is None:
+            forward = _forward(params, x_hat)
+        u, du, tape = forward
+        if not math.isfinite(np.add.reduce(u) + np.add.reduce(du)):
+            _raise_at_first_nonfinite((u, du), x_hat, "network output")
         loss, gu, gd = loss_fn(u, du)
-    for arr in (np.asarray(gu), np.asarray(gd)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NumericalFailureError(
-                f"non-finite loss derivative at x_hat={float(np.asarray(x_hat).ravel()[i])!r}",
-                point=float(np.asarray(x_hat).ravel()[i]))
+        if not math.isfinite(np.add.reduce(gu) + np.add.reduce(gd)):
+            _raise_at_first_nonfinite((gu, gd), x_hat, "loss derivative")
     if not np.isfinite(loss):
         raise NumericalFailureError(f"non-finite loss value {loss!r}")
     grad = _backward(params, tape, gu, gd)
-    for g in grad.arrays():
-        if not np.all(np.isfinite(g)):
-            raise NumericalFailureError("non-finite parameter gradient")
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = np.add.reduce(grad.flat)
+    if not math.isfinite(total) and not np.all(np.isfinite(grad.flat)):
+        raise NumericalFailureError("non-finite parameter gradient")
     return float(loss), grad
+
+
+def _raise_at_first_nonfinite(arrays, x_hat, what):
+    """NumericalFailureError at the input of the first non-finite entry,
+    searching the arrays in order; returns when every entry is finite."""
+    for arr in arrays:
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            point = float(np.asarray(x_hat).ravel()[int(np.argmax(bad))])
+            raise NumericalFailureError(f"non-finite {what} at x_hat={point!r}",
+                                        point=point)
 
 
 def params_to_jsonable(params):

@@ -12,14 +12,12 @@ class GradientDescent:
         self.learning_rate = float(learning_rate)
 
     def step(self, params, grad):
-        for p, g in zip(params.arrays(), grad.arrays()):
-            p -= self.learning_rate * g
+        params.flat -= self.learning_rate * grad.flat
 
 
 class Adam:
-    """Adam with bias correction. The moments are single float64 vectors
-    over the parameter arrays in MlpParams.arrays() order, allocated on the
-    first step."""
+    """Adam with bias correction. The moments are float64 vectors laid out
+    like params.flat and grad.flat, allocated on the first step."""
 
     def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.learning_rate = float(learning_rate)
@@ -31,7 +29,7 @@ class Adam:
         self.v = None
 
     def step(self, params, grad):
-        g = np.concatenate([a.ravel() for a in grad.arrays()])
+        g = grad.flat
         if self.m is None:
             self.m = np.zeros_like(g)
             self.v = np.zeros_like(g)
@@ -43,11 +41,7 @@ class Adam:
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * (g * g)
-        update = self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        start = 0
-        for p in params.arrays():
-            p -= update[start:start + p.size].reshape(p.shape)
-            start += p.size
+        params.flat -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def make_optimizer(kind, learning_rate):

@@ -23,13 +23,15 @@ def write_loss_history(path, records):
 
 
 def _write_float_rows(path, header, columns):
-    """CSV of float columns, written line by line: the dense solution grids
+    """CSV of float columns, written row by row: the dense solution grids
     have tens of thousands of rows, and holding their whole text at once
-    would set the run's peak memory."""
+    would set the run's peak memory. "%.17g" gives the text of _fmt for
+    every float64."""
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(row_fmt % row)
 
 
 def write_solution(path, x, pred, exact):

@@ -228,11 +228,44 @@ def test_subdomains_without_points_exit_2(tmp_path, capsys, command, patch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, patch, key", [
+    ("run", {"training": {"steps": 3, "communication_interval": 2}},
+     "training.steps = 3 must be a multiple of 2 (training.communication_interval)"),
+    ("sweep", {"training": {"steps": 4},
+               "sweep": {"subdomains": [2], "communication_intervals": [1, 3]}},
+     "training.steps = 4 must be a multiple of 3 (sweep.communication_intervals)"),
+])
+def test_steps_that_leave_a_partial_round_exit_2(tmp_path, capsys, command, patch, key):
+    cfg = write_config(tmp_path, **patch)
+    out = tmp_path / "never"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    assert f"error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "coarse"])
+@pytest.mark.parametrize("below", [(), ("sub", "dir")])
+def test_out_at_or_under_an_existing_file_exits_2(tmp_path, capsys, command, below):
+    cfg = write_config(tmp_path, training={"steps": 5, "record_interval": 5},
+                       coarse={"enabled": True, "points": 20, "epochs": 2},
+                       sweep={"subdomains": [2], "communication_intervals": [1]})
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker.joinpath(*below)
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: output directory {str(out)!r}: {str(blocker)!r} exists and " \
+           f"is not a directory" in err
+    assert blocker.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+
 @st.composite
 def tiny_configs(draw):
     """A subcommand and a tiny config that parse_config accepts."""
     command = draw(st.sampled_from(["run", "coarse", "sweep"]))
     kind = draw(st.sampled_from(["parallel", "alternating", "colored", "explicit"]))
+    interval = draw(st.integers(1, 3))
     groups = st.lists(st.lists(st.integers(0, 9), max_size=4), min_size=1, max_size=4)
     data = {
         "problem": {"omega": 3.0,
@@ -241,8 +274,8 @@ def tiny_configs(draw):
         "network": {"hidden_layers": 1, "hidden_width": 4},
         "training": {"optimizer": draw(st.sampled_from(["adam", "sgd"])),
                      "learning_rate": draw(st.sampled_from([1e-3, 1e300])),
-                     "steps": draw(st.integers(1, 6)),
-                     "communication_interval": draw(st.integers(1, 3)),
+                     "steps": interval * draw(st.integers(1, 6 // interval)),
+                     "communication_interval": interval,
                      "record_interval": draw(st.integers(1, 4)),
                      "collocation_points": draw(st.integers(2, 40)),
                      "seed": draw(st.integers(0, 3))},

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from fbpinn.config import (ConfigError, RunConfig, build_problem, build_schedule,
-                           load_config, parse_config)
+                           check_whole_rounds, load_config, parse_config)
 from fbpinn.problems import SoftConstraint
 from fbpinn.scheduling import active_set
 
@@ -89,10 +89,23 @@ def test_non_object_blocks_rejected():
      "schedule.colors must be a non-empty list of index lists"),
     ({"schedule": {"kind": "explicit", "sets": [[1, None]]}},
      "schedule.sets must be a non-empty list of index lists"),
+    ({"training": {"steps": 3, "communication_interval": 2}},
+     r"training.steps = 3 must be a multiple of 2 \(training.communication_interval\)"),
 ])
 def test_validation_names_the_offending_key(patch, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(patch)
+
+
+def test_steps_must_fill_whole_rounds():
+    # run: the training interval; sweep: every sweep interval, checked by
+    # the sweep command alone (a run config keeps the default sweep grid)
+    cfg = parse_config({"training": {"steps": 30, "communication_interval": 3}})
+    check_whole_rounds(cfg, 10, "sweep.communication_intervals")
+    with pytest.raises(ConfigError,
+                       match=r"training.steps = 30 must be a multiple of 100 "
+                             r"\(sweep.communication_intervals\)"):
+        check_whole_rounds(cfg, 100, "sweep.communication_intervals")
 
 
 def test_booleans_are_not_integers():

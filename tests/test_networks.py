@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbpinn.networks import (MlpParams, NumericalFailureError, _forward,
-                             eval_batch, eval_values, init_params,
+from fbpinn.networks import (MlpParams, NumericalFailureError, ParamGradient,
+                             _forward, eval_batch, eval_values, init_params,
                              loss_gradient, params_from_jsonable,
                              params_to_jsonable)
 
@@ -242,3 +244,94 @@ def test_loss_gradient_checks_a_precomputed_forward():
     with pytest.raises(NumericalFailureError) as exc:
         loss_gradient(p, x, quadratic_loss(np.ones(3), np.ones(3)), (u, du, tape))
     assert exc.value.point == 0.2
+
+
+def assert_flat_layout(p):
+    # every array is a C-contiguous view into p.flat, in arrays() order
+    assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous
+    for a in p.arrays():
+        assert np.shares_memory(p.flat, a) and a.flags.c_contiguous
+    assert np.array_equal(np.concatenate([a.ravel() for a in p.arrays()]), p.flat)
+
+
+def test_params_and_gradients_live_in_one_flat_buffer():
+    p = init_params([1, 16, 16, 1], seed=2)
+    assert_flat_layout(p)
+    assert p.flat.size == 16 + 16 * 16 + 16 + 16 + 16 + 1
+    x = np.linspace(-1, 1, 9)
+    _, grad = loss_gradient(p, x, quadratic_loss(np.ones(9), np.ones(9)))
+    assert_flat_layout(grad)
+    # the constructors copy into a fresh buffer
+    w = np.array([[2.0]])
+    q = MlpParams([w], [np.zeros(1)])
+    w[0, 0] = 3.0
+    assert q.weights[0][0, 0] == 2.0
+    assert_flat_layout(q)
+    assert_flat_layout(ParamGradient([np.ones((2, 1)), np.ones((1, 2))],
+                                     [np.zeros(2), np.zeros(1)]))
+    c = p.copy()
+    assert_flat_layout(c)
+    assert not np.shares_memory(c.flat, p.flat)
+
+
+def test_checkpoint_json_round_trip_is_unchanged():
+    obj = params_to_jsonable(init_params([1, 16, 16, 1], seed=13))
+    q = params_from_jsonable(obj)
+    assert_flat_layout(q)
+    assert params_to_jsonable(q) == obj
+
+
+@pytest.mark.parametrize("where", ["u", "du", "gu", "gd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("i", [0, 4, 6])
+def test_nonfinite_entry_raises_at_its_point(where, bad, i):
+    p = init_params([1, 4, 1], seed=0)
+    x = np.linspace(-0.9, 0.9, 7)
+    u, du, tape = _forward(p, x)
+    u, du = u.copy(), du.copy()
+    if where in ("u", "du"):
+        (u if where == "u" else du)[i] = bad
+
+    def loss_fn(u_, du_):
+        gu, gd = np.ones_like(u_), np.ones_like(du_)
+        if where in ("gu", "gd"):
+            (gu if where == "gu" else gd)[i] = bad
+        return 1.0, gu, gd
+
+    with pytest.raises(NumericalFailureError) as exc:
+        loss_gradient(p, x, loss_fn, (u, du, tape))
+    assert exc.value.point == x[i]
+    kind = "network output" if where in ("u", "du") else "loss derivative"
+    assert str(exc.value) == f"non-finite {kind} at x_hat={float(x[i])!r}"
+
+
+def test_first_nonfinite_entry_is_searched_in_order():
+    # u before du, each from its first entry
+    p = init_params([1, 4, 1], seed=0)
+    x = np.linspace(-0.9, 0.9, 7)
+    u, du, tape = _forward(p, x)
+    u, du = u.copy(), du.copy()
+    u[5] = np.inf
+    du[1] = np.nan
+    u[3] = np.nan
+    with pytest.raises(NumericalFailureError) as exc:
+        loss_gradient(p, x, quadratic_loss(np.ones(7), np.ones(7)), (u, du, tape))
+    assert exc.value.point == x[3]
+
+
+@pytest.mark.parametrize("w, b, x, gu, gd", [
+    (1e308, 1e308, 0.5, 0.0, 0.0),      # u + du overflows
+    (1.0, 0.0, -0.5, 1e308, 1e308),     # gu + gd overflows
+    (1.0, 0.0, 0.5, 1e308, 0.9e308),    # the gradient's sum overflows
+])
+def test_finite_values_whose_sum_overflows_pass_silently(w, b, x, gu, gd):
+    p = MlpParams([np.array([[w]])], [np.array([b])])
+
+    def loss_fn(u, du):
+        return 0.0, np.full_like(u, gu), np.full_like(du, gd)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        loss, grad = loss_gradient(p, [x], loss_fn)
+    assert loss == 0.0
+    assert np.all(np.isfinite(grad.flat))

@@ -95,6 +95,27 @@ def test_adam_flat_moments_match_per_array_update_bitwise():
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("make", [lambda: Adam(0.01), lambda: GradientDescent(0.01)])
+def test_steps_update_the_flat_buffer_in_place(make):
+    from fbpinn.networks import init_params, loss_gradient
+    p = init_params([1, 6, 6, 1], seed=1)
+    flat = p.flat
+    x = np.linspace(-1, 1, 11)
+
+    def loss_fn(u, du):
+        return float(u @ u + du @ du), 2 * u, 2 * du
+
+    opt = make()
+    before = flat.copy()
+    for _ in range(3):
+        _, grad = loss_gradient(p, x, loss_fn)
+        opt.step(p, grad)
+    assert p.flat is flat and not np.array_equal(flat, before)
+    for a in p.arrays():
+        assert np.shares_memory(flat, a)
+    assert np.array_equal(np.concatenate([a.ravel() for a in p.arrays()]), flat)
+
+
 def test_make_optimizer():
     assert isinstance(make_optimizer("adam", 1e-3), Adam)
     assert isinstance(make_optimizer("sgd", 1e-3), GradientDescent)

@@ -460,6 +460,46 @@ def test_train_losses_equal_global_loss_before_and_after(kind, p):
     assert rep.final_loss == global_loss(state)
 
 
+@pytest.mark.parametrize("kind", ["hard", "soft", "coarse"])
+def test_final_l2_and_prediction_equal_a_fresh_grid_evaluation(kind):
+    # the final step's record evaluates the grid at the final parameters;
+    # the report reuses it (record_interval 3 does not divide 7 steps)
+    make = {"hard": small_state, "soft": soft_state, "coarse": coarse_state}[kind]
+    state = make(n_sub=4, n_pts=60, seed=8)
+    rep = train(state, alternating_schedule(4), 7, record_interval=3, l2_points=90)
+    grid = training._make_eval_grid(state, rep.solution_x)
+    l2, pred = training._grid_l2(state, grid, rep.solution_exact)
+    assert rep.final_l2 == l2 == rep.records[-1].l2_error
+    assert np.array_equal(rep.solution_pred, pred)
+
+
+def test_train_pinn_final_loss_and_l2_equal_a_fresh_evaluation(monkeypatch):
+    made = []
+
+    def capture(sizes, seed):
+        made.append(networks.init_params(sizes, seed))
+        return made[-1]
+
+    monkeypatch.setattr(training, "init_params", capture)
+    prob = make_single_frequency(2.0, DOM)
+    pts = sample_collocation(DOM, 60)
+    rep = train_pinn(prob, pts, layer_sizes=[1, 8, 1], steps=7, seed=3,
+                     record_interval=3, l2_points=90)
+    params = made[0]
+    # the single-network hard residual and L2 error at the final parameters,
+    # in the trainer's operation order
+    halfwidth = 0.5 * DOM.width
+    u, du = eval_batch(params, (pts - DOM.midpoint) / halfwidth)
+    r = (prob.constraint.multiplier_prime(pts) * u
+         + prob.constraint.multiplier(pts) * ((1.0 / halfwidth) * du) - prob.rhs(pts))
+    assert rep.final_loss.total == (r @ r) / len(pts)
+    pred = prob.constraint.multiplier(rep.solution_x) * networks.eval_values(
+        params, (rep.solution_x - DOM.midpoint) / halfwidth)
+    assert np.array_equal(rep.solution_pred, pred)
+    exact = prob.exact_solution(rep.solution_x)
+    assert rep.final_l2 == np.linalg.norm(pred - exact) / float(np.linalg.norm(exact))
+
+
 def _same_cache(a, b):
     pairs = list(zip(a.values, b.values)) + list(zip(a.dvalues, b.dvalues))
     if a.bc_values is not None:
@@ -520,5 +560,6 @@ def test_one_tangent_forward_per_parameter_version(monkeypatch, kind):
     assert set(counts.values()) == {1}
     steps = [10] * 4 if kind == "parallel" else [3, 3, 2, 2]
     assert len(tangent) == sum(s + 1 for s in steps)
-    # the dense grid, value only: the step-10 record and the final L2
-    assert len(values) == 2 * 4
+    # the dense grid, value only, once: the step-10 record, whose L2 and
+    # prediction are also the report's final ones
+    assert len(values) == 4
