@@ -11,7 +11,7 @@ from .networks import (MlpParams, NumericalFailureError, ParamGradient,
 from .optimizers import Adam, GradientDescent, make_optimizer
 from .problems import (HardConstraint, OdeProblem, SoftConstraint,
                        identity_constraint, make_single_frequency,
-                       make_two_frequency, soft_boundary_loss, tanh_constraint)
+                       make_two_frequency, tanh_constraint)
 from .scheduling import (ActiveSet, Schedule, active_set, alternating_schedule,
                          colored_schedule, explicit_schedule, parallel_schedule)
 from .training import (FbpinnState, LossBreakdown, OverlapCache, RunReport,

@@ -19,13 +19,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import (ConfigError, build_problem, build_schedule,
                      check_whole_rounds, load_config)
 from .decomposition import (build_decomposition, empty_subdomains,
                             sample_collocation)
-from .networks import NumericalFailureError, eval_values
+from .networks import NumericalFailureError
 from .reporting import (scalability_trends, write_coarse_solution,
                         write_run_artifacts, write_sweep_summary, write_trends)
 from .training import (create_state, train, train_coarse_then_local)
@@ -151,16 +149,10 @@ def run_coarse(cfg, outdir):
         raise
     report.config = cfg.to_echo()
     out = write_run_artifacts(outdir, report, state)
-
-    x = report.solution_x
-    cons = np.asarray(state.problem.constraint.multiplier(x), dtype=float) \
-        if state.problem.constraint.kind == "hard" else np.ones_like(x)
-    center, halfwidth = state.coarse_norm
-    coarse_part = cons * eval_values(state.coarse_params, (x - center) / halfwidth)
-    local_part = report.solution_pred - coarse_part
-    write_coarse_solution(out / "coarse_solution.csv", x, coarse_part,
-                          local_part, report.solution_pred,
-                          report.solution_exact)
+    write_coarse_solution(out / "coarse_solution.csv", report.solution_x,
+                          report.solution_coarse,
+                          report.solution_pred - report.solution_coarse,
+                          report.solution_pred, report.solution_exact)
     return state, report
 
 

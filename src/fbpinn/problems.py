@@ -7,6 +7,7 @@ an optional soft penalty on boundary values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,11 +30,25 @@ class HardConstraint:
 @dataclass(frozen=True)
 class SoftConstraint:
     """One boundary condition group: penalty weight * mean squared error of
-    the raw solution against targets at the given points."""
+    the raw solution against targets at the given points. Needs at least
+    one point, one target per point, finite values and a finite weight > 0."""
 
     points: tuple
     targets: tuple
     weight: float = 1.0
+
+    def __post_init__(self):
+        if len(self.points) == 0:
+            raise ValueError("soft constraint needs at least one boundary point")
+        if len(self.points) != len(self.targets):
+            raise ValueError(f"soft constraint has {len(self.points)} points "
+                             f"but {len(self.targets)} targets")
+        values = np.asarray([*self.points, *self.targets], dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("soft constraint points and targets must be finite")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"soft constraint weight must be finite and > 0, "
+                             f"got {self.weight!r}")
 
     @property
     def kind(self):
@@ -104,17 +119,3 @@ def make_two_frequency(omega1, omega2, domain):
     return OdeProblem(domain=domain, rhs=rhs, frequencies=(w1, w2),
                       exact_solution=exact, exact_derivative=rhs,
                       constraint=tanh_constraint())
-
-
-def soft_boundary_loss(constraint, boundary_evals):
-    """weight / N * sum (value - target)^2 over the boundary evaluations."""
-    if constraint.kind != "soft":
-        raise TypeError("soft_boundary_loss needs a soft constraint")
-    evals = list(boundary_evals)
-    if not evals:
-        raise ValueError("empty boundary evaluation set")
-    acc = 0.0
-    for value, target in evals:
-        err = float(value) - float(target)
-        acc += err * err
-    return constraint.weight * acc / len(evals)

@@ -15,9 +15,11 @@ class ActiveSet:
 
 @dataclass(frozen=True)
 class Schedule:
+    """Round r activates groups[r % len(groups)]; kind is a label."""
+
     kind: str
     n_subdomains: int
-    groups: tuple = ()    # per-round subsets for colored/explicit, cycled
+    groups: tuple
 
 
 def _check_n(n_subdomains):
@@ -37,11 +39,13 @@ def _check_group(group, n, what):
 
 
 def parallel_schedule(n_subdomains):
-    return Schedule("parallel", _check_n(n_subdomains))
+    n = _check_n(n_subdomains)
+    return Schedule("parallel", n, (frozenset(range(1, n + 1)),))
 
 
 def alternating_schedule(n_subdomains):
-    return Schedule("alternating", _check_n(n_subdomains))
+    n = _check_n(n_subdomains)
+    return Schedule("alternating", n, tuple(frozenset({j}) for j in range(1, n + 1)))
 
 
 def colored_schedule(n_subdomains, colors):
@@ -73,13 +77,4 @@ def active_set(schedule, round):
     if not isinstance(round, (int, np.integer)) or round < 0:
         raise ValueError(f"round must be a non-negative integer, got {round!r}")
     r = int(round)
-    n = schedule.n_subdomains
-    if schedule.kind == "parallel":
-        active = frozenset(range(1, n + 1))
-    elif schedule.kind == "alternating":
-        active = frozenset({(r % n) + 1})
-    elif schedule.kind in ("colored", "explicit"):
-        active = schedule.groups[r % len(schedule.groups)]
-    else:
-        raise ValueError(f"unknown schedule kind {schedule.kind!r}")
-    return ActiveSet(r, active)
+    return ActiveSet(r, schedule.groups[r % len(schedule.groups)])

@@ -21,7 +21,6 @@ from .decomposition import (classify_points, empty_subdomains,
 from .networks import (NumericalFailureError, _forward, eval_batch,
                        eval_values, init_params, loss_gradient)
 from .optimizers import make_optimizer
-from .problems import soft_boundary_loss
 from .scheduling import parallel_schedule, active_set as schedule_active_set
 
 
@@ -39,14 +38,13 @@ class LossBreakdown:
 
 @dataclass
 class OverlapCache:
-    """Frozen background per subdomain, aligned with its member points:
-    the weighted sum of neighbor-network contributions (zero at interior
-    points) plus the coarse-network term when one is present. bc_* entries
-    mirror the same background at soft boundary points."""
+    """Frozen background per subdomain: the weighted sum of neighbor-network
+    contributions (zero where no neighbor holds the row) plus the
+    coarse-network term when one is present. values[j] is aligned with
+    every row of workspace j + 1, dvalues[j] with its member points."""
 
     values: list
     dvalues: list
-    bc_values: list | None
     round_refreshed: int
 
 
@@ -71,6 +69,7 @@ class RunReport:
     solution_x: np.ndarray | None = None
     solution_pred: np.ndarray | None = None
     solution_exact: np.ndarray | None = None
+    solution_coarse: np.ndarray | None = None   # constrained coarse part of solution_pred
     wall_time_s: float = 0.0
     phases: dict = field(default_factory=dict)
     config: dict | None = None
@@ -78,26 +77,34 @@ class RunReport:
 
 @dataclass
 class SubdomainWorkspace:
-    """Static per-subdomain tables over its member collocation points."""
+    """Static per-subdomain tables. The rows are the member collocation
+    points, then the soft boundary points the subdomain holds (none under a
+    hard constraint). Row id k is collocation point k below the number of
+    collocation points and soft boundary point k - that number above it.
+    point_ids, x, win and owned_mask are the member slices of the row
+    tables; the other arrays without a row_ prefix cover members only."""
 
     index: int
-    point_ids: np.ndarray
-    x: np.ndarray
+    row_ids: np.ndarray
+    row_x: np.ndarray
     input_scale: float            # d(x_hat)/dx
-    win: np.ndarray
+    row_win: np.ndarray
     dwin: np.ndarray
     overlap_mask: np.ndarray
-    owned_mask: np.ndarray        # this subdomain is the lowest-indexed owner
+    row_owned: np.ndarray         # this subdomain is the row's lowest-indexed holder
     cons: np.ndarray | None
     dcons: np.ndarray | None
-    rhs: np.ndarray
+    rhs: np.ndarray               # every row: f at member points, then the soft targets
     dr_du: np.ndarray             # d(residual)/du at each member point
     dr_ddu: np.ndarray            # d(residual)/d(du) at each member point
-    inputs: np.ndarray            # rows of every local forward: member x_hat, then soft bc x_hat
-    outgoing: list = field(default_factory=list)   # (target j, src pos, dst pos)
-    bc_sel: np.ndarray | None = None
-    bc_win: np.ndarray | None = None
-    bc_owned: np.ndarray | None = None
+    inputs: np.ndarray            # x_hat of every row: the rows of every local forward
+    # (target j, src rows, dst rows, member src rows, member dst rows)
+    outgoing: list = field(default_factory=list)
+
+    def __post_init__(self):
+        n = len(self.dwin)
+        self.point_ids, self.x = self.row_ids[:n], self.row_x[:n]
+        self.win, self.owned_mask = self.row_win[:n], self.row_owned[:n]
 
 
 @dataclass
@@ -105,7 +112,7 @@ class _ForwardMemo:
     """Forwards shared within one train() call. local[j] is network j's
     (u, du, tape) on its workspace inputs at its current parameters and is
     dropped when network j's optimizer steps. coarse[j] is the frozen coarse
-    network's (u, du, u at soft boundary points) on workspace j."""
+    network's (u at every row, du at the member points) on workspace j."""
 
     local: dict = field(default_factory=dict)
     coarse: dict = field(default_factory=dict)
@@ -116,8 +123,7 @@ class _GlobalTables:
     x: np.ndarray
     interior_mask: np.ndarray
     overlap_mask: np.ndarray
-    bc_x: np.ndarray | None
-    bc_targets: np.ndarray | None
+    n_bc: int                     # soft boundary points; 0 under a hard constraint
     bc_weight: float
 
 
@@ -125,10 +131,8 @@ class _GlobalTables:
 class FbpinnState:
     problem: object
     decomposition: object
-    collocation: object
     params: list
     coarse_params: object | None
-    input_norms: list                 # per subdomain (center, halfwidth)
     coarse_norm: tuple
     optimizers: list
     coarse_optimizer: object | None
@@ -175,75 +179,69 @@ def create_state(problem, decomposition, points, *, layer_sizes,
     n_sub = decomposition.n_subdomains
     hard = problem.constraint.kind == "hard"
 
-    tables = window_table(decomposition, pts)
-    owner = np.zeros(n_points, dtype=int)
-    for j in range(n_sub, 0, -1):
-        owner[colloc.members[j - 1]] = j
-
     interior_mask = np.zeros(n_points, dtype=bool)
     overlap_mask = np.zeros(n_points, dtype=bool)
     for j in range(n_sub):
         interior_mask[colloc.interior[j]] = True
         overlap_mask[colloc.overlap[j]] = True
 
+    # per subdomain (row ids, row windows, member window derivatives)
+    rows = window_table(decomposition, pts)
     if hard:
         cons_all = np.asarray(problem.constraint.multiplier(pts), dtype=float)
         dcons_all = np.asarray(problem.constraint.multiplier_prime(pts), dtype=float)
-        bc_x = bc_targets = None
+        bc_x = np.zeros(0)
         bc_weight = 0.0
-        bc_owner = None
     else:
-        cons_all = dcons_all = None
         bc_x = np.asarray(problem.constraint.points, dtype=float)
         bc_targets = np.asarray(problem.constraint.targets, dtype=float)
         bc_weight = float(problem.constraint.weight)
         for xb in bc_x:
             if not dom.contains(xb):
                 raise ValueError(f"soft boundary point {xb!r} outside the domain")
-        bc_owner = np.zeros(len(bc_x), dtype=int)
-        for j in range(n_sub, 0, -1):
-            sd = decomposition.subdomains[j - 1]
-            bc_owner[(bc_x >= sd.left) & (bc_x <= sd.right)] = j
+        rows = [(np.concatenate([ids, n_points + bids]), np.concatenate([win, bwin]), dwin)
+                for (ids, win, dwin), (bids, bwin, _) in
+                zip(rows, window_table(decomposition, bc_x))]
+    row_x_all = np.concatenate([pts, bc_x])
+    owner = np.zeros(len(row_x_all), dtype=int)
+    for j in range(n_sub, 0, -1):
+        owner[rows[j - 1][0]] = j
 
-    input_norms = []
     workspaces = []
-    for j in range(1, n_sub + 1):
+    for j, (row_ids, row_win, dwin) in enumerate(rows, start=1):
         sd = decomposition.subdomains[j - 1]
-        ids = colloc.members[j - 1]
-        x = pts[ids]
-        x_hat, scale = _norm_inputs(sd.left, sd.right, x)
-        idx_check, win, dwin = tables[j - 1]
-        assert np.array_equal(idx_check, ids)
-        ovl = np.zeros(len(ids), dtype=bool)
+        n_own = len(dwin)
+        ids = row_ids[:n_own]
+        assert np.array_equal(ids, colloc.members[j - 1])
+        row_x = row_x_all[row_ids]
+        x = row_x[:n_own]
+        win = row_win[:n_own]
+        x_hat, scale = _norm_inputs(sd.left, sd.right, row_x)
+        ovl = np.zeros(n_own, dtype=bool)
         ovl[np.searchsorted(ids, colloc.overlap[j - 1])] = True
         cons = cons_all[ids] if hard else None
         dcons = dcons_all[ids] if hard else None
-        ws = SubdomainWorkspace(
-            index=j, point_ids=ids, x=x, input_scale=scale,
-            win=win, dwin=dwin, overlap_mask=ovl,
-            owned_mask=owner[ids] == j, cons=cons, dcons=dcons,
-            rhs=np.asarray(problem.rhs(x), dtype=float),
+        rhs = np.asarray(problem.rhs(x), dtype=float)
+        if not hard:
+            rhs = np.concatenate([rhs, bc_targets[row_ids[n_own:] - n_points]])
+        workspaces.append(SubdomainWorkspace(
+            index=j, row_ids=row_ids, row_x=row_x, input_scale=scale,
+            row_win=row_win, dwin=dwin, overlap_mask=ovl,
+            row_owned=owner[row_ids] == j, cons=cons, dcons=dcons, rhs=rhs,
             dr_du=dcons * win + cons * dwin if hard else dwin,
             dr_ddu=cons * (win * scale) if hard else win * scale,
             inputs=x_hat,
-        )
-        if not hard:
-            sel = np.nonzero((bc_x >= sd.left) & (bc_x <= sd.right))[0]
-            ws.bc_sel = sel
-            ws.bc_win = np.array([decomposition.window(j, xb) for xb in bc_x[sel]])[:, 0] \
-                if len(sel) else np.zeros(0)
-            ws.bc_owned = bc_owner[sel] == j
-            ws.inputs = np.concatenate([x_hat, _norm_inputs(sd.left, sd.right, bc_x[sel])[0]])
-        input_norms.append((0.5 * (sd.left + sd.right), 0.5 * (sd.right - sd.left)))
-        workspaces.append(ws)
+        ))
 
+    # Neighbor routes over all rows; member rows sort first, as row ids do.
     for ws in workspaces:
         sd = decomposition.subdomains[ws.index - 1]
         for l in sorted(sd.neighbor_indices):
             other = workspaces[l - 1]
-            _, src, dst = np.intersect1d(ws.point_ids, other.point_ids,
-                                         assume_unique=True, return_indices=True)
-            ws.outgoing.append((l, src, dst))
+            common, src, dst = np.intersect1d(ws.row_ids, other.row_ids,
+                                              assume_unique=True, return_indices=True)
+            m = common.searchsorted(n_points)
+            ws.outgoing.append((l, src, dst, src[:m], dst[:m]))
 
     params = [init_params(layer_sizes, master_seed + j) for j in range(1, n_sub + 1)]
     optimizers = [make_optimizer(optimizer, learning_rate) for _ in range(n_sub)]
@@ -253,14 +251,13 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         coarse_optimizer = make_optimizer(optimizer, learning_rate)
 
     state = FbpinnState(
-        problem=problem, decomposition=decomposition, collocation=colloc,
+        problem=problem, decomposition=decomposition,
         params=params, coarse_params=coarse_params,
-        input_norms=input_norms, coarse_norm=(dom.midpoint, 0.5 * dom.width),
+        coarse_norm=(dom.midpoint, 0.5 * dom.width),
         optimizers=optimizers, coarse_optimizer=coarse_optimizer,
         communication_interval=int(communication_interval), round=0, step=0,
         workspaces=workspaces,
-        tables=_GlobalTables(pts, interior_mask, overlap_mask,
-                             bc_x, bc_targets, bc_weight),
+        tables=_GlobalTables(pts, interior_mask, overlap_mask, len(bc_x), bc_weight),
         cache=None,
     )
     state.cache = refresh_overlap_cache(state)
@@ -273,31 +270,31 @@ def _coarse_eval(state, x):
     return u, du / halfwidth
 
 
-def _member_values(state, ws, memo=None):
-    """Network ws.index's value and input derivative at ws's member points,
-    and its value at ws's soft boundary points: one tangent forward on
-    ws.inputs, taken from the memo while the parameters are unchanged."""
+def _local_values(state, ws, memo=None):
+    """Network ws.index's value and input derivative at every row of ws:
+    one tangent forward on ws.inputs, taken from the memo while the
+    parameters are unchanged."""
     forward = memo.local.get(ws.index) if memo is not None else None
     if forward is None:
         forward = _forward(state.params[ws.index - 1], ws.inputs)
         if memo is not None:
             memo.local[ws.index] = forward
-    u_all, du_all, _ = forward
-    n_own = len(ws.x)
-    return u_all[:n_own], du_all[:n_own], u_all[n_own:]
+    u, du, _ = forward
+    return u, du
 
 
 def _coarse_background(state, ws, memo=None):
-    """Coarse value and derivative on ws.x, and the coarse value at ws's
-    soft boundary points (None under a hard constraint)."""
+    """Coarse value at every row of ws and its derivative at the member
+    points."""
     background = memo.coarse.get(ws.index) if memo is not None else None
     if background is None:
+        # Boundary rows go in a batch of their own: OpenBLAS does not give a
+        # row the same bits at every batch size, and the member rows' bits
+        # must not depend on how many boundary points a subdomain holds.
         ug, dug = _coarse_eval(state, ws.x)
-        ugb = None
-        if ws.bc_sel is not None:
-            ugb = (_coarse_eval(state, state.tables.bc_x[ws.bc_sel])[0]
-                   if len(ws.bc_sel) else np.zeros(0))
-        background = (ug, dug, ugb)
+        if len(ws.row_x) > len(ws.x):
+            ug = np.concatenate([ug, _coarse_eval(state, ws.row_x[len(ws.x):])[0]])
+        background = (ug, dug)
         if memo is not None:
             memo.coarse[ws.index] = background
     return background
@@ -305,81 +302,78 @@ def _coarse_background(state, ws, memo=None):
 
 def refresh_overlap_cache(state, memo=None):
     """Recompute every subdomain's frozen background from current parameters:
-    neighbor window-weighted sums at shared points, plus the coarse network
+    neighbor window-weighted sums at shared rows, plus the coarse network
     everywhere when one is present."""
-    soft = state.tables.bc_x is not None
-    values, dvalues, bc_values = [], [], [] if soft else None
+    values, dvalues = [], []
     with np.errstate(invalid="ignore", over="ignore"):
         for ws in state.workspaces:
             if state.coarse_params is not None:
-                ug, dug, ugb = _coarse_background(state, ws, memo)
+                ug, dug = _coarse_background(state, ws, memo)
                 values.append(ug.copy())
                 dvalues.append(dug.copy())
-                if soft:
-                    bc_values.append(ugb.copy())
             else:
-                values.append(np.zeros(len(ws.x)))
+                values.append(np.zeros(len(ws.row_x)))
                 dvalues.append(np.zeros(len(ws.x)))
-                if soft:
-                    bc_values.append(np.zeros(len(ws.bc_sel)))
         for ws in state.workspaces:
-            if not ws.outgoing and not soft:
+            if not ws.outgoing:
                 continue
-            u, du, ub = _member_values(state, ws, memo)
-            contrib = ws.win * u
-            dcontrib = ws.dwin * u + ws.win * (ws.input_scale * du)
-            for target, src, dst in ws.outgoing:
+            u, du = _local_values(state, ws, memo)
+            contrib = ws.row_win * u
+            dcontrib = _local_dvalue(ws, u, du)
+            for target, src, dst, member_src, member_dst in ws.outgoing:
                 values[target - 1][dst] += contrib[src]
-                dvalues[target - 1][dst] += dcontrib[src]
-            if soft and len(ws.bc_sel):
-                mine = ws.bc_win * ub
-                for other in state.workspaces:
-                    if other.index == ws.index or not len(other.bc_sel):
-                        continue
-                    common, src, dst = np.intersect1d(ws.bc_sel, other.bc_sel,
-                                                      assume_unique=True, return_indices=True)
-                    if len(common):
-                        bc_values[other.index - 1][dst] += mine[src]
-    return OverlapCache(values, dvalues, bc_values, state.round)
+                dvalues[target - 1][member_dst] += dcontrib[member_src]
+    return OverlapCache(values, dvalues, state.round)
+
+
+def _local_dvalue(ws, u, du):
+    """d/dx of network ws.index's window-weighted output at ws's member
+    points, from its (u, du) at every row."""
+    n_own = len(ws.x)
+    return ws.dwin * u[:n_own] + ws.win * (ws.input_scale * du[:n_own])
 
 
 def _residual(ws, u, du, bg, dbg):
-    """Constrained residual at ws's member points: network ws.index's
-    window-weighted (u, du) plus the frozen background (bg, dbg), as
-    c'v + cv' - f under a hard constraint and v' - f under a soft one."""
-    dvalue = ws.dwin * u + ws.win * (ws.input_scale * du) + dbg
-    if ws.cons is None:
-        return dvalue - ws.rhs
-    return ws.dcons * (ws.win * u + bg) + ws.cons * dvalue - ws.rhs
+    """Constrained residual at every row of ws from network ws.index's
+    (u, du) there plus the frozen background (bg at every row, dbg at the
+    member points): c'v + cv' - f under a hard constraint; v' - f at the
+    member points and v - target at the boundary rows under a soft one."""
+    dvalue = _local_dvalue(ws, u, du) + dbg
+    if ws.cons is not None:
+        return ws.dcons * (ws.win * u + bg) + ws.cons * dvalue - ws.rhs
+    n_own = len(ws.x)
+    return np.concatenate([dvalue, ws.row_win[n_own:] * u[n_own:] + bg[n_own:]]) - ws.rhs
+
+
+def _penalty(tables, err):
+    """Soft boundary penalty of the errors err at boundary rows."""
+    return tables.bc_weight * (err @ err) / tables.n_bc
 
 
 def _loss_split(state, cache, memo=None):
-    """Loss split with every point's residual taken from its lowest-indexed
-    owner's live network against `cache`, plus the soft boundary penalty.
-    Returns the split and the residual at every collocation point."""
+    """Loss split with every row's residual taken from its lowest-indexed
+    holder's live network against `cache`: the ODE residual at collocation
+    points, plus the soft boundary penalty. Returns the split and the
+    residual at every collocation point."""
     t = state.tables
     n = len(t.x)
-    r_all = np.zeros(n)
-    bc_value = np.zeros(len(t.bc_x)) if t.bc_x is not None else None
+    by_row = np.zeros(n + t.n_bc)
     with np.errstate(invalid="ignore", over="ignore"):
         for ws in state.workspaces:
             j = ws.index - 1
-            u, du, ub = _member_values(state, ws, memo)
-            r = _residual(ws, u, du, cache.values[j], cache.dvalues[j])
-            r_all[ws.point_ids[ws.owned_mask]] = r[ws.owned_mask]
-            if bc_value is not None and len(ws.bc_sel):
-                full = ws.bc_win * ub + cache.bc_values[j]
-                bc_value[ws.bc_sel[ws.bc_owned]] = full[ws.bc_owned]
-        boundary = 0.0 if bc_value is None else soft_boundary_loss(
-            state.problem.constraint, zip(bc_value, t.bc_targets))
-        squared = r_all * r_all
+            u, du = _local_values(state, ws, memo)
+            res = _residual(ws, u, du, cache.values[j], cache.dvalues[j])
+            by_row[ws.row_ids[ws.row_owned]] = res[ws.row_owned]
+        r, err = by_row[:n], by_row[n:]
+        boundary = float(_penalty(t, err)) if t.n_bc else 0.0
+        squared = r * r
         per_sub = tuple(float(np.sum(squared[ws.point_ids[~ws.overlap_mask]]) / n)
                         for ws in state.workspaces)
         split = LossBreakdown(float(np.sum(squared) / n) + boundary,
                               float(np.sum(squared[t.interior_mask]) / n),
                               float(np.sum(squared[t.overlap_mask]) / n),
                               boundary, per_sub)
-    return split, r_all
+    return split, r
 
 
 def _checked_loss(state, cache, memo):
@@ -416,22 +410,19 @@ def _make_local_loss_fn(state, j, cache):
     n = len(t.x)
     n_own = len(ws.x)
     bg, dbg = cache.values[j - 1], cache.dvalues[j - 1]
-    boundary = ws.bc_sel is not None and len(ws.bc_sel) > 0
-    if boundary:
-        n_bc = len(t.bc_x)
-        targets = t.bc_targets[ws.bc_sel]
-        bc_bg = cache.bc_values[j - 1]
+    bc_win = ws.row_win[n_own:]
 
     def loss_fn(u_all, du_all):
-        r = _residual(ws, u_all[:n_own], du_all[:n_own], bg, dbg)
-        loss = (r @ r) / n
-        ru = (2.0 / n) * r
+        r = _residual(ws, u_all, du_all, bg, dbg)
+        rm = r[:n_own]
+        loss = (rm @ rm) / n
+        ru = (2.0 / n) * rm
         gu = ru * ws.dr_du
         gd = ru * ws.dr_ddu
-        if boundary:
-            err = ws.bc_win * u_all[n_own:] + bc_bg - targets
-            loss = loss + t.bc_weight * (err @ err) / n_bc
-            gu = np.concatenate([gu, (2.0 * t.bc_weight / n_bc) * err * ws.bc_win])
+        if len(bc_win):
+            err = r[n_own:]
+            loss = loss + _penalty(t, err)
+            gu = np.concatenate([gu, (2.0 * t.bc_weight / t.n_bc) * err * bc_win])
             gd = np.concatenate([gd, np.zeros(len(err))])
         return loss, gu, gd
 
@@ -439,9 +430,9 @@ def _make_local_loss_fn(state, j, cache):
 
 
 def local_loss(state, j, cache=None):
-    """Subdomain j's training loss: squared residuals over its member points
-    with foreign contributions taken from the cache, scaled by the global
-    point count."""
+    """Subdomain j's training loss: squared residuals over its member points,
+    scaled by the global point count, plus the penalty of its soft boundary
+    rows, with foreign contributions taken from the cache."""
     cache = cache if cache is not None else state.cache
     inputs, loss_fn = _make_local_loss_fn(state, j, cache)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -511,13 +502,17 @@ def _coarse_value(state, x):
         return eval_values(state.coarse_params, (x - center) / halfwidth)
 
 
+def _constrained(grid, value):
+    return grid.cons * value if grid.cons is not None else value
+
+
 def _grid_solution(state, grid):
     value = np.zeros(len(grid.x))
     if grid.coarse_value is not None:
         value += grid.coarse_value
     for params, (idx, win, x_hat) in zip(state.params, grid.entries):
         value[idx] += win * eval_values(params, x_hat)
-    return grid.cons * value if grid.cons is not None else value
+    return _constrained(grid, value)
 
 
 def solution_values(state, xs):
@@ -596,12 +591,14 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
     report.final_l2, report.solution_pred = final["l2"], final["pred"]
     report.solution_x = grid.x
     report.solution_exact = exact
+    if grid.coarse_value is not None:
+        report.solution_coarse = _constrained(grid, grid.coarse_value)
     report.phases[phase] = report.phases.get(phase, 0) + int(rounds) * state.communication_interval
     return report
 
 
 def _train_single(params, problem, points, optimizer, steps, *, norm,
-                  record_interval, report, phase, l2_points, step_offset=0):
+                  record_interval, report, phase, l2_points):
     """Full-batch training of one network u(x_hat) under the problem's
     constraint; shared by the plain-network baseline and the coarse phase."""
     x = np.asarray(points, dtype=float)
@@ -656,13 +653,12 @@ def _train_single(params, problem, points, optimizer, steps, *, norm,
             return float(np.linalg.norm(pred - grid_exact) / grid_norm), pred
 
     started = time.perf_counter()
-    if report.initial_loss is None:
-        report.initial_loss = current_loss()
+    report.initial_loss = current_loss()
     for s in range(1, int(steps) + 1):
         try:
             _, grad = loss_gradient(params, inputs, loss_fn)
         except NumericalFailureError as err:
-            err.step = step_offset + s
+            err.step = s
             report.wall_time_s += time.perf_counter() - started
             err.report = report
             raise
@@ -670,7 +666,7 @@ def _train_single(params, problem, points, optimizer, steps, *, norm,
         if s % record_interval == 0 or s == steps:
             loss = current_loss()
             l2, pred = current_l2()
-            report.records.append(LossRecord(step_offset + s, s - 1, phase,
+            report.records.append(LossRecord(s, s - 1, phase,
                                              loss, loss, 0.0, 0.0, l2))
     report.wall_time_s += time.perf_counter() - started
     # step `steps` always records, at the final parameters

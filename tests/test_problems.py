@@ -4,8 +4,7 @@ import pytest
 from fbpinn.decomposition import Interval
 from fbpinn.problems import (HardConstraint, SoftConstraint,
                              identity_constraint, make_single_frequency,
-                             make_two_frequency, soft_boundary_loss,
-                             tanh_constraint)
+                             make_two_frequency, tanh_constraint)
 
 DOM = Interval(-2 * np.pi, 2 * np.pi)
 
@@ -97,19 +96,25 @@ def test_residual_of_exact_solution_vanishes():
                                rtol=0, atol=1e-15)
 
 
-def test_constraint_type_checks():
-    with pytest.raises(TypeError):
-        soft_boundary_loss(tanh_constraint(), [(0.0, 0.0)])
-
-
-def test_soft_boundary_loss_values():
-    soft = SoftConstraint(points=(0.0, 1.0), targets=(0.0, 2.0), weight=3.0)
-    # weight / N * sum of squared errors: 3/2 * ((0.5)^2 + (1.0)^2)
-    got = soft_boundary_loss(soft, [(0.5, 0.0), (1.0, 2.0)])
-    assert got == pytest.approx(3.0 / 2.0 * (0.25 + 1.0), rel=1e-15)
-    assert soft_boundary_loss(soft, [(0.0, 0.0)]) == 0.0
-    with pytest.raises(ValueError):
-        soft_boundary_loss(soft, [])
+@pytest.mark.parametrize("kw, match", [
+    # no boundary point: the penalty would divide by zero at the first loss
+    ({"points": (), "targets": ()}, "at least one boundary point"),
+    # more points than targets: IndexError inside train
+    ({"points": (0.0, 3.0), "targets": (0.0,)}, "2 points but 1 targets"),
+    # more targets than points: the extra target was silently ignored
+    ({"points": (0.0,), "targets": (0.0, 1.0)}, "1 points but 2 targets"),
+    # a nan target failed mid-training as a NumericalFailureError
+    ({"points": (0.0,), "targets": (np.nan,)}, "must be finite"),
+    ({"points": (np.inf,), "targets": (0.0,)}, "must be finite"),
+    ({"points": (0.0,), "targets": (0.0,), "weight": 0.0}, "weight must be finite and > 0"),
+    ({"points": (0.0,), "targets": (0.0,), "weight": -1.0}, "weight must be finite and > 0"),
+    ({"points": (0.0,), "targets": (0.0,), "weight": np.inf}, "weight must be finite and > 0"),
+    ({"points": (0.0,), "targets": (0.0,), "weight": np.nan}, "weight must be finite and > 0"),
+], ids=["empty", "extra-point", "extra-target", "nan-target", "inf-point",
+        "zero-weight", "negative-weight", "inf-weight", "nan-weight"])
+def test_soft_constraint_rejects_invalid_input(kw, match):
+    with pytest.raises(ValueError, match=match):
+        SoftConstraint(**kw)
 
 
 def test_with_constraint_swaps_only_constraint():

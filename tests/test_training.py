@@ -7,7 +7,7 @@ from fbpinn import networks, training
 from fbpinn.decomposition import (Interval, build_decomposition,
                                   empty_subdomains, sample_collocation, window)
 from fbpinn.networks import NumericalFailureError, eval_batch, loss_gradient
-from fbpinn.problems import SoftConstraint, make_single_frequency
+from fbpinn.problems import SoftConstraint, make_single_frequency, tanh_constraint
 from fbpinn.scheduling import (active_set, alternating_schedule,
                                colored_schedule, parallel_schedule)
 from fbpinn.training import (create_state, global_loss, local_loss,
@@ -49,7 +49,7 @@ def manual_raw_global(state, x):
         if not sd.contains(x):
             continue
         w, dw = window(state.decomposition, j, x)
-        c, hw = state.input_norms[j - 1]
+        c, hw = sd.center, 0.5 * sd.width
         u, du = eval_batch(state.params[j - 1], [(x - c) / hw])
         value += w * u[0]
         dvalue += dw * u[0] + w * du[0] / hw
@@ -58,7 +58,7 @@ def manual_raw_global(state, x):
 
 def manual_global_loss(state):
     """Mean squared constrained residual straight from the definition."""
-    pts = state.collocation.points
+    pts = state.tables.x
     prob = state.problem
     acc = 0.0
     for x in pts:
@@ -90,7 +90,7 @@ def test_global_loss_zero_networks_equals_mean_squared_rhs():
             a[:] = 0.0
     state.cache = refresh_overlap_cache(state)
     bd = global_loss(state)
-    rhs = state.problem.rhs(state.collocation.points)
+    rhs = state.problem.rhs(state.tables.x)
     assert bd.total == pytest.approx(float(np.mean(rhs ** 2)), rel=1e-15)
     assert bd.boundary == 0.0
 
@@ -128,7 +128,8 @@ def test_cache_holds_neighbor_weighted_sum():
             assert cache.values[0][pos] == 0.0
             assert cache.dvalues[0][pos] == 0.0
             continue
-        c, hw = state.input_norms[1]
+        sd = state.decomposition.subdomains[1]
+        c, hw = sd.center, 0.5 * sd.width
         u, du = eval_batch(state.params[1], [(x - c) / hw])
         assert cache.values[0][pos] == pytest.approx(w2 * u[0], rel=1e-13)
         assert cache.dvalues[0][pos] == pytest.approx(
@@ -155,12 +156,13 @@ def test_local_loss_manual_two_subdomains():
     # normalized by the global point count
     state = small_state(n_sub=2, n_pts=50, seed=3)
     prob = state.problem
-    n = len(state.collocation.points)
+    n = len(state.tables.x)
     ws = state.workspaces[0]
+    sd = state.decomposition.subdomains[0]
+    c, hw = sd.center, 0.5 * sd.width
     acc = 0.0
     for pos, x in enumerate(ws.x):
         w1, dw1 = window(state.decomposition, 1, x)
-        c, hw = state.input_norms[0]
         u, du = eval_batch(state.params[0], [(x - c) / hw])
         v = w1 * u[0] + state.cache.values[0][pos]
         dv = dw1 * u[0] + w1 * du[0] / hw + state.cache.dvalues[0][pos]
@@ -171,11 +173,12 @@ def test_local_loss_manual_two_subdomains():
     assert local_loss(state, 1) == pytest.approx(acc / n, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["hard", "soft", "coarse"])
+@pytest.mark.parametrize("kind", ["hard", "soft", "soft-multi", "coarse"])
 def test_local_gradient_matches_finite_differences(kind):
     # the closure's d(residual)/du and d(residual)/d(du) against central
     # differences of local_loss in every parameter of network 2
-    make = {"hard": small_state, "soft": soft_state, "coarse": coarse_state}[kind]
+    make = {"hard": small_state, "soft": soft_state,
+            "soft-multi": soft_multi_state, "coarse": coarse_state}[kind]
     state = make(n_sub=3, n_pts=40, seed=4)
     inputs, loss_fn = training._make_local_loss_fn(state, 2, state.cache)
     loss, grad = loss_gradient(state.params[1], inputs, loss_fn)
@@ -417,13 +420,42 @@ def test_coarse_requires_coarse_network():
                                 local_rounds=1)
 
 
-def soft_state(n_sub=2, n_pts=50, seed=0, **kw):
+def soft_state(n_sub=2, n_pts=50, seed=0, constraint=None, **kw):
     prob = make_single_frequency(3.0, DOM).with_constraint(
-        SoftConstraint(points=(0.0,), targets=(0.0,), weight=2.0))
+        constraint or SoftConstraint(points=(0.0,), targets=(0.0,), weight=2.0))
     dec = build_decomposition(DOM, n_sub, 0.7)
     pts = sample_collocation(DOM, n_pts)
     return create_state(prob, dec, pts, layer_sizes=[1, 6, 1], master_seed=seed,
                         **kw)
+
+
+# -2.0 lies in the overlap of subdomains 1 and 2 for n_sub=3, 0.5 in the
+# middle overlap for n_sub=2 and 4; 5.0 is interior for n_sub <= 4
+MULTI = SoftConstraint(points=(-2.0, 0.5, 5.0), targets=(0.3, 0.0, -0.2), weight=2.0)
+
+
+def soft_multi_state(**kw):
+    return soft_state(constraint=MULTI, **kw)
+
+
+@pytest.mark.parametrize("n_sub", [2, 3, 4])
+def test_boundary_points_are_rows_of_every_holder(n_sub):
+    # each boundary point is a row of every subdomain holding it, owned by
+    # the lowest-indexed one; one of the points lies in an overlap
+    state = soft_multi_state(n_sub=n_sub)
+    n = len(state.tables.x)
+    holders, owners = {}, {}
+    for ws in state.workspaces:
+        n_own = len(ws.x)
+        for k, owned in zip(ws.row_ids[n_own:] - n, ws.row_owned[n_own:]):
+            holders.setdefault(int(k), []).append(ws.index)
+            if owned:
+                owners.setdefault(int(k), []).append(ws.index)
+    for k, xb in enumerate(MULTI.points):
+        want = [sd.index for sd in state.decomposition.subdomains if sd.contains(xb)]
+        assert holders[k] == want
+        assert owners[k] == want[:1]
+    assert max(len(h) for h in holders.values()) == 2
 
 
 def test_soft_constraint_loss_includes_boundary_term():
@@ -446,13 +478,14 @@ def test_soft_constraint_training_descends():
     assert stale.total == pytest.approx(end.total, rel=1e-10)
 
 
-@pytest.mark.parametrize("kind", ["hard", "soft", "coarse"])
+@pytest.mark.parametrize("kind", ["hard", "soft", "soft-multi", "coarse"])
 @pytest.mark.parametrize("p", [1, 3])
 def test_train_losses_equal_global_loss_before_and_after(kind, p):
     # train measures its initial and final loss against its own fresh cache
     # and memo forwards; global_loss refreshes a cache and runs the same
     # forwards on the same rows, so the two agree bitwise, field by field
-    make = {"hard": small_state, "soft": soft_state, "coarse": coarse_state}[kind]
+    make = {"hard": small_state, "soft": soft_state,
+            "soft-multi": soft_multi_state, "coarse": coarse_state}[kind]
     state = make(n_sub=4, n_pts=60, seed=8, communication_interval=p)
     before = global_loss(state)
     rep = train(state, alternating_schedule(4), 5, record_interval=2, l2_points=50)
@@ -502,20 +535,19 @@ def test_train_pinn_final_loss_and_l2_equal_a_fresh_evaluation(monkeypatch):
 
 def _same_cache(a, b):
     pairs = list(zip(a.values, b.values)) + list(zip(a.dvalues, b.dvalues))
-    if a.bc_values is not None:
-        pairs += list(zip(a.bc_values, b.bc_values))
     assert all(np.array_equal(x, y) for x, y in pairs)
 
 
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("kind", ["parallel", "alternating", "colored"])
-@pytest.mark.parametrize("constraint", ["hard", "soft"])
+@pytest.mark.parametrize("constraint", ["hard", "soft", "soft-multi"])
 def test_cache_after_train_matches_fresh_refresh(kind, p, constraint):
     # the forwards the refresh reuses inside train must be those of the
     # final parameters, also for subdomains an alternating or colored
     # schedule left inactive for several rounds. A fresh refresh runs the
     # same forwards on the same rows, so even soft caches match bitwise.
-    make = small_state if constraint == "hard" else soft_state
+    make = {"hard": small_state, "soft": soft_state,
+            "soft-multi": soft_multi_state}[constraint]
     state = make(n_sub=4, n_pts=60, seed=2, communication_interval=p)
     sched = {"parallel": parallel_schedule(4),
              "alternating": alternating_schedule(4),
@@ -531,6 +563,55 @@ def test_cache_after_coarse_run_matches_fresh_refresh():
     train_coarse_then_local(state, coarse_epochs=5, coarse_points=40,
                             local_rounds=4, record_interval=2, l2_points=50)
     _same_cache(state.cache, refresh_overlap_cache(state))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("kind", ["parallel", "alternating"])
+def test_multi_point_boundary_loss_is_the_mean_squared_solution_error(kind, p):
+    # the penalty of the owners' rows equals the definition taken from the
+    # evaluated solution, before and after training
+    state = soft_multi_state(n_sub=4, n_pts=60, seed=5, communication_interval=p)
+    sched = parallel_schedule(4) if kind == "parallel" else alternating_schedule(4)
+    for rounds in (0, 4):
+        if rounds:
+            train(state, sched, rounds, record_interval=2, l2_points=50)
+        err = solution_values(state, MULTI.points) - np.asarray(MULTI.targets)
+        want = MULTI.weight * float(np.mean(err * err))
+        assert global_loss(state).boundary == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("constraint", ["hard", "soft"])
+def test_coarse_part_of_solution_is_the_frozen_coarse_network(constraint):
+    state = coarse_state(seed=6, n_sub=4)
+    if constraint == "soft":
+        state = create_state(
+            state.problem.with_constraint(MULTI), state.decomposition, state.tables.x,
+            layer_sizes=[1, 6, 1], master_seed=6, coarse_layer_sizes=[1, 6, 1])
+    rep = train_coarse_then_local(state, coarse_epochs=5, coarse_points=40,
+                                  local_rounds=3, record_interval=2, l2_points=70)
+    x = rep.solution_x
+    c, hw = state.coarse_norm
+    want = networks.eval_values(state.coarse_params, (x - c) / hw)
+    if constraint == "hard":
+        want = state.problem.constraint.multiplier(x) * want
+    assert np.array_equal(rep.solution_coarse, want)
+
+
+def test_coarse_background_at_members_ignores_boundary_rows():
+    # the coarse values at member points are those of the same state
+    # without boundary rows, bit for bit: BLAS may round a row differently
+    # in a larger batch, so the boundary rows must not share the members'
+    states = [create_state(make_single_frequency(3.0, DOM).with_constraint(c),
+                           build_decomposition(DOM, 4, 0.7), sample_collocation(DOM, 60),
+                           layer_sizes=[1, 6, 1], master_seed=6,
+                           coarse_layer_sizes=[1, 16, 16, 1])
+              for c in (MULTI, tanh_constraint())]
+    assert all(len(ws.row_x) > len(ws.x) for ws in states[0].workspaces[1:])
+    for soft_ws, hard_ws in zip(*(s.workspaces for s in states)):
+        ug, dug = training._coarse_background(states[0], soft_ws)
+        hard_ug, hard_dug = training._coarse_background(states[1], hard_ws)
+        assert np.array_equal(ug[:len(hard_ug)], hard_ug)
+        assert np.array_equal(dug, hard_dug)
 
 
 @pytest.mark.parametrize("kind", ["parallel", "alternating"])
