@@ -157,6 +157,10 @@ def run_coarse(cfg, outdir):
 
 
 def main(argv=None):
+    """Run the command in argv and return its exit code: 0 success,
+    2 configuration error (nothing written), 3 numerical failure (partial
+    artifacts kept), 4 an output could not be written (partial artifacts
+    may remain)."""
     parser = argparse.ArgumentParser(
         prog="fbpinn",
         description="Train window-weighted local networks on 1D ODEs with "
@@ -201,6 +205,9 @@ def main(argv=None):
             if err.step is not None else ""
         print(f"error: numerical failure{where}: {err}", file=sys.stderr)
         return 3
+    except OSError as err:
+        print(f"error: cannot write outputs: {err}", file=sys.stderr)
+        return 4
     print(f"final loss {report.final_loss.total:.6g}, "
           f"relative L2 error {report.final_l2:.6g}, wrote {outdir}")
     return 0

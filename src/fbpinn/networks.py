@@ -6,6 +6,16 @@ the value and tangent chains, so gradients of losses built from (u, du/dx)
 are exact in every parameter, including the mixed d2u/dx dtheta terms.
 Only the first input derivative is propagated; higher spatial derivatives
 would need a second tangent slot in _forward/_backward.
+
+Inside the passes every activation, tangent and adjoint is a C-contiguous
+(width, rows) array: hidden layers are W @ a, the bias is added along the
+rows and its gradient is a row sum, so each elementwise pass runs one long
+contiguous loop. The first layer (fan-in 1) is the broadcast product
+W0 * x and its tangent is W0 itself; the output layer's adjoint (fan-out 1)
+is W.T * zbar. Against the earlier (rows, width) layout the products reach
+BLAS with their operands in swapped roles and the bias sums are pairwise,
+so results differ from it in the last bits. Neither layout gives a row the
+same bits at every batch size.
 """
 
 from __future__ import annotations
@@ -99,53 +109,69 @@ def init_params(layer_sizes, seed):
 def _forward(params, x_hat):
     """Batched forward pass propagating the input tangent.
 
-    Returns (u, du, tape) where tape[l] = (a_prev, da_prev, act, dact)
-    holds what _backward needs; act is None for the linear output layer.
+    Returns (u, du, tape) with tape = (x, hidden): x is the 1-D input and
+    hidden[l] = (act, dact) holds tanh layer l's activation and tangent as
+    (width, rows) arrays, which is what _backward reads.
     """
-    a = np.asarray(x_hat, dtype=float).reshape(-1, 1)
-    da = np.ones_like(a)
-    tape = []
-    last = len(params.weights) - 1
-    for ell, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ W.T + b
-        dz = da @ W.T
-        if ell == last:
-            tape.append((a, da, None, None))
-            a, da = z, dz
-        else:
-            act = np.tanh(z)
-            dact = (1.0 - act * act) * dz
-            tape.append((a, da, act, dact))
-            a, da = act, dact
-    return a[:, 0], da[:, 0], tape
+    x = np.asarray(x_hat, dtype=float).reshape(-1)
+    W0 = params.weights[0]
+    z = W0 * x                    # fan_in 1: an outer product, no sum
+    z += params.biases[0][:, None]
+    dz = W0                       # the input's tangent is 1
+    hidden = []
+    for W, b in zip(params.weights[1:], params.biases[1:]):
+        act = np.tanh(z, out=z)
+        dact = act * act
+        np.subtract(1.0, dact, out=dact)
+        dact *= dz
+        hidden.append((act, dact))
+        z = W @ act
+        z += b[:, None]
+        dz = W @ dact
+    if not hidden:                # one linear layer: du/dx is its weight
+        dz = np.full(z.shape, W0[0, 0])
+    return z[0], dz[0], (x, hidden)
 
 
 def _backward(params, tape, dloss_du, dloss_ddu):
-    # Adjoints of (value, tangent) pushed through both chains.
-    # tanh node a = phi(z), da = phi'(z) * dz, phi' = 1 - a^2:
+    # Adjoints of (value, tangent) pushed through both chains, as
+    # (width, rows) arrays. tanh node a = phi(z), da = phi'(z) dz,
+    # phi' = 1 - a^2:
     #   zbar  = abar * phi' + dbar * phi''(z) * dz,  phi'' dz = -2 a da
     #   dzbar = dbar * phi'
-    # linear node z = a_prev W^T + b, dz = da_prev W^T:
-    #   Wbar = zbar^T a_prev + dzbar^T da_prev,  bbar = sum zbar
-    abar = np.asarray(dloss_du, dtype=float).reshape(-1, 1)
-    dbar = np.asarray(dloss_ddu, dtype=float).reshape(-1, 1)
+    # linear node z = W a_prev + b, dz = W da_prev:
+    #   Wbar = zbar a_prev^T + dzbar da_prev^T,  bbar = row sums of zbar
+    #   abar = W^T zbar,  dbar = W^T dzbar
+    # The first layer's a_prev is x and its da_prev is 1.
+    x, hidden = tape
+    weights = params.weights
     grad = ParamGradient.empty_like(params)
-    for ell in reversed(range(len(params.weights))):
-        a_prev, da_prev, act, dact = tape[ell]
-        W = params.weights[ell]
-        if act is None:
-            zbar, dzbar = abar, dbar
-        else:
-            phi1 = 1.0 - act * act
-            zbar = abar * phi1 + dbar * (-2.0 * act * dact)
-            dzbar = dbar * phi1
+    zbar = np.asarray(dloss_du, dtype=float).reshape(1, -1)
+    dzbar = np.asarray(dloss_ddu, dtype=float).reshape(1, -1)
+    for ell in reversed(range(1, len(weights))):
+        act, dact = hidden[ell - 1]
         gw = grad.weights[ell]
-        np.matmul(zbar.T, a_prev, out=gw)
-        gw += dzbar.T @ da_prev
-        np.add.reduce(zbar, axis=0, out=grad.biases[ell])
-        if ell:
-            abar = zbar @ W
-            dbar = dzbar @ W
+        np.matmul(zbar, act.T, out=gw)
+        gw += dzbar @ dact.T
+        np.add.reduce(zbar, axis=1, out=grad.biases[ell])
+        W = weights[ell]
+        if len(W) == 1:           # fan_out 1: an outer product, no sum
+            abar, dbar = W.T * zbar, W.T * dzbar
+        else:
+            abar, dbar = W.T @ zbar, W.T @ dzbar
+        phi1 = act * act
+        np.subtract(1.0, phi1, out=phi1)
+        curv = act * dact
+        curv *= -2.0
+        curv *= dbar
+        abar *= phi1
+        abar += curv
+        dbar *= phi1
+        zbar, dzbar = abar, dbar
+    gw = grad.weights[0][:, 0]
+    np.matmul(zbar, x, out=gw)
+    gw += np.add.reduce(dzbar, axis=1)
+    np.add.reduce(zbar, axis=1, out=grad.biases[0])
     return grad
 
 
@@ -158,14 +184,14 @@ def eval_batch(params, x_hat):
 def eval_values(params, x_hat):
     """Network value alone at every normalized input in x_hat: the value
     chain of _forward, bit for bit, without the tangent or the tape."""
-    a = np.asarray(x_hat, dtype=float).reshape(-1, 1)
-    last = len(params.weights) - 1
-    for ell, (W, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ W.T
-        a += b
-        if ell != last:
-            np.tanh(a, out=a)
-    return a[:, 0]
+    x = np.asarray(x_hat, dtype=float).reshape(-1)
+    a = params.weights[0] * x
+    a += params.biases[0][:, None]
+    for W, b in zip(params.weights[1:], params.biases[1:]):
+        np.tanh(a, out=a)
+        a = W @ a
+        a += b[:, None]
+    return a[0]
 
 
 def loss_gradient(params, x_hat, loss_fn, forward=None):

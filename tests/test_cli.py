@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbpinn import cli
 from fbpinn.cli import main, resolve_outdir
 from fbpinn.config import parse_config
 
@@ -128,6 +129,33 @@ def test_numerical_failure_exits_3_with_location(tmp_path, capsys):
     # partial artifacts survive the failure
     assert (out / "loss_history.csv").exists()
     assert (out / "summary.json").exists()
+
+
+WRITE_ERROR_CASES = [
+    ("run", "write_run_artifacts", {}),
+    ("coarse", "write_run_artifacts",
+     {"problem": {"kind": "two_frequency", "omega1": 1.0, "omega2": 3.0},
+      "coarse": {"enabled": True, "points": 30, "epochs": 5,
+                 "hidden_layers": 1, "hidden_width": 8},
+      "training": {"steps": 10, "record_interval": 5}}),
+    ("sweep", "write_run_artifacts",
+     {"sweep": {"subdomains": [2], "communication_intervals": [5]}}),
+    ("sweep", "write_sweep_summary",
+     {"sweep": {"subdomains": [2], "communication_intervals": [5]}}),
+]
+
+
+@pytest.mark.parametrize("command, writer, overrides", WRITE_ERROR_CASES)
+def test_write_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch,
+                                           command, writer, overrides):
+    def fail(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, writer, fail)
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: cannot write outputs: [Errno 28] No space left on device\n"
 
 
 def test_sweep_writes_cells_and_aggregate(tmp_path, capsys):

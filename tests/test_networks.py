@@ -9,6 +9,7 @@ from fbpinn.networks import (MlpParams, NumericalFailureError, ParamGradient,
                              _forward, eval_batch, eval_values, init_params,
                              loss_gradient, params_from_jsonable,
                              params_to_jsonable)
+import row_major_network as reference
 
 
 def fd_input_derivative(params, x, h=1e-6):
@@ -110,7 +111,7 @@ def test_input_derivative_vs_finite_differences():
 
 def test_loss_gradient_vs_finite_differences():
     rng = np.random.default_rng(11)
-    for sizes in ([1, 4, 1], [1, 8, 8, 1]):
+    for sizes in ([1, 4, 1], [1, 8, 8, 1], [1, 1], [1, 3, 7, 2, 1]):
         p = init_params(sizes, seed=int(rng.integers(100)))
         x = rng.uniform(-1.5, 1.5, size=7)
         loss_fn = quadratic_loss(rng.uniform(0.5, 2, 7), rng.uniform(0.5, 2, 7))
@@ -335,3 +336,38 @@ def test_finite_values_whose_sum_overflows_pass_silently(w, b, x, gu, gd):
         loss, grad = loss_gradient(p, [x], loss_fn)
     assert loss == 0.0
     assert np.all(np.isfinite(grad.flat))
+
+
+def normwise_rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+layer_sizes = st.one_of(
+    st.sampled_from([[1, 1], [1, 16, 1], [1, 16, 16, 1], [1, 3, 7, 2, 1]]),
+    st.lists(st.integers(1, 20), max_size=4).map(lambda h: [1, *h, 1]))
+
+
+@given(sizes=layer_sizes, n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.1, 2.0))
+@settings(max_examples=150, deadline=None)
+def test_network_matches_the_row_major_reference(sizes, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    p = init_params(sizes, seed=seed)
+    p.flat[:] = scale * rng.standard_normal(p.flat.size)
+    x = rng.uniform(-1.5, 1.5, size=n)
+    gu, gd = rng.standard_normal(n), rng.standard_normal(n)
+
+    u, du, _ = _forward(p, x)
+    u_ref, du_ref, tape_ref = reference.forward(p, x)
+    for got in (u, du):
+        assert got.shape == (n,) and got.flags.c_contiguous and got.flags.writeable
+    assert normwise_rel(u, u_ref) <= 1e-12
+    assert normwise_rel(du, du_ref) <= 1e-12
+
+    _, grad = loss_gradient(p, x, lambda u_, du_: (0.0, gu, gd))
+    grad_ref = reference.backward(p, tape_ref, gu, gd)
+    assert normwise_rel(grad.flat, grad_ref) <= 1e-12
+
+    values = eval_values(p, x)
+    assert np.array_equal(values, u)
+    assert normwise_rel(values, reference.values(p, x)) <= 1e-12
