@@ -24,8 +24,8 @@ from .config import (ConfigError, build_problem, build_schedule,
 from .decomposition import (build_decomposition, empty_subdomains,
                             sample_collocation)
 from .networks import NumericalFailureError
-from .reporting import (scalability_trends, write_coarse_solution,
-                        write_run_artifacts, write_sweep_summary, write_trends)
+from .reporting import (scalability_trends, write_run_artifacts,
+                        write_sweep_summary, write_trends)
 from .training import (create_state, train, train_coarse_then_local)
 
 
@@ -148,11 +148,7 @@ def run_coarse(cfg, outdir):
             write_run_artifacts(outdir, err.report, state)
         raise
     report.config = cfg.to_echo()
-    out = write_run_artifacts(outdir, report, state)
-    write_coarse_solution(out / "coarse_solution.csv", report.solution_x,
-                          report.solution_coarse,
-                          report.solution_pred - report.solution_coarse,
-                          report.solution_pred, report.solution_exact)
+    write_run_artifacts(outdir, report, state)
     return state, report
 
 

@@ -16,6 +16,17 @@ is W.T * zbar. Against the earlier (rows, width) layout the products reach
 BLAS with their operands in swapped roles and the bias sums are pairwise,
 so results differ from it in the last bits. Neither layout gives a row the
 same bits at every batch size.
+
+eval_values, the value-only pass behind the dense error grid and
+solution_values, runs an input of 2 * _BLOCK rows or more in blocks of
+_BLOCK (4,096) rows, the last block taking the remainder: a whole
+30,000-row grid's (16, rows) activations overflow a 2 MiB L2 cache, a
+block's do not. OpenBLAS keeps a row's bits across blocks except in a
+product's final (rows mod 8) rows, whose path depends on the product's
+size. With the remainder in a last block of at least _BLOCK rows, hidden
+layers of equal width 8 to 32 gave every row the bits of one whole-input
+pass (OpenBLAS 0.3.31 on an AVX-512 Xeon); layers of unequal width, such
+as 23 -> 3, may still differ there in the last bits.
 """
 
 from __future__ import annotations
@@ -23,6 +34,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# Rows per eval_values pass over a long input: a (16, 4096) float64
+# activation is 0.5 MiB. A multiple of 64, so every block starts on a
+# multiple of 8 rows.
+_BLOCK = 4096
 
 
 class NumericalFailureError(RuntimeError):
@@ -183,8 +199,23 @@ def eval_batch(params, x_hat):
 
 def eval_values(params, x_hat):
     """Network value alone at every normalized input in x_hat: the value
-    chain of _forward, bit for bit, without the tangent or the tape."""
+    chain of _forward without the tangent or the tape. An input of fewer
+    than 2 * _BLOCK rows runs that chain once, bit for bit; a longer one
+    runs it on consecutive blocks of _BLOCK rows, the last block taking
+    the remainder, into one output array, so every row's value is that of
+    its block evaluated alone."""
     x = np.asarray(x_hat, dtype=float).reshape(-1)
+    n_blocks = len(x) // _BLOCK
+    if n_blocks < 2:
+        return _value_chain(params, x)
+    out = np.empty(len(x))
+    bounds = [k * _BLOCK for k in range(n_blocks)] + [len(x)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        out[lo:hi] = _value_chain(params, x[lo:hi])
+    return out
+
+
+def _value_chain(params, x):
     a = params.weights[0] * x
     a += params.biases[0][:, None]
     for W, b in zip(params.weights[1:], params.biases[1:]):

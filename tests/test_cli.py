@@ -364,9 +364,10 @@ def test_coarse_run_decomposes_solution(tmp_path):
     vals = np.array([[float(v) for v in row] for row in rows])
     np.testing.assert_allclose(vals[:, 1] + vals[:, 2], vals[:, 3],
                                rtol=0, atol=1e-12)
-    # combined column equals the main solution artifact's prediction
+    # x, combined and exact are the main solution artifact's text, row for row
     _, sol_rows = read_csv(out / "solution.csv")
     assert [r[1] for r in sol_rows] == [r[3] for r in rows]
+    assert [(r[0], r[2]) for r in sol_rows] == [(r[0], r[4]) for r in rows]
 
 
 def test_missing_subcommand_is_usage_error(capsys):

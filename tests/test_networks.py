@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbpinn import networks
 from fbpinn.networks import (MlpParams, NumericalFailureError, ParamGradient,
                              _forward, eval_batch, eval_values, init_params,
                              loss_gradient, params_from_jsonable,
@@ -371,3 +372,27 @@ def test_network_matches_the_row_major_reference(sizes, n, seed, scale):
     values = eval_values(p, x)
     assert np.array_equal(values, u)
     assert normwise_rel(values, reference.values(p, x)) <= 1e-12
+
+
+BLOCK = networks._BLOCK
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 30000])
+@pytest.mark.parametrize("sizes", [[1, 1], [1, 16, 16, 1], [1, 3, 7, 2, 1]])
+def test_blocked_eval_values(sizes, n):
+    rng = np.random.default_rng(n)
+    p = init_params(sizes, seed=n)
+    p.flat[:] = 0.7 * rng.standard_normal(p.flat.size)
+    x = rng.uniform(-1.5, 1.5, size=n)
+
+    values = eval_values(p, x)
+    assert values.shape == (n,)
+    assert values.flags.c_contiguous and values.flags.writeable
+    assert normwise_rel(values, reference.values(p, x)) <= 1e-13
+    assert np.array_equal(eval_values(p, x), values)
+    # blocks of BLOCK rows, the last one taking the remainder; an input of
+    # one block is the value chain of the tangent forward
+    bounds = [k * BLOCK for k in range(max(n // BLOCK, 1))] + [n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert np.array_equal(values[lo:hi], eval_values(p, x[lo:hi]))
+        assert np.array_equal(values[lo:hi], eval_batch(p, x[lo:hi])[0])
