@@ -197,8 +197,8 @@ def main(argv=None):
         else:
             _, report = run_coarse(cfg, outdir)
     except NumericalFailureError as err:
-        where = f" (step {err.step}, subdomain {err.subdomain})" \
-            if err.step is not None else ""
+        network = "coarse network" if err.subdomain == "coarse" else f"subdomain {err.subdomain}"
+        where = f" (step {err.step}, {network})" if err.step is not None else ""
         print(f"error: numerical failure{where}: {err}", file=sys.stderr)
         return 3
     except OSError as err:

@@ -42,7 +42,8 @@ _BLOCK = 4096
 
 
 class NumericalFailureError(RuntimeError):
-    """Non-finite loss or gradient. Carries the offending input when known."""
+    """Non-finite loss or gradient. Carries the offending input, the step and
+    the failing subdomain (or "coarse" for the coarse network) when known."""
 
     def __init__(self, message, point=None, subdomain=None, step=None):
         super().__init__(message)
@@ -245,7 +246,7 @@ def loss_gradient(params, x_hat, loss_fn, forward=None):
         if not math.isfinite(np.add.reduce(gu) + np.add.reduce(gd)):
             _raise_at_first_nonfinite((gu, gd), x_hat, "loss derivative")
     if not np.isfinite(loss):
-        raise NumericalFailureError(f"non-finite loss value {loss!r}")
+        raise NumericalFailureError(f"non-finite loss value {float(loss)!r}")
     grad = _backward(params, tape, gu, gd)
     with np.errstate(invalid="ignore", over="ignore"):
         total = np.add.reduce(grad.flat)

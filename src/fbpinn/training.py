@@ -6,7 +6,9 @@ constraint. Training proceeds in rounds: every active subdomain takes p
 optimizer steps against its own parameters while all foreign contributions
 at shared points stay frozen in an overlap cache, then the cache is
 refreshed once. Inactive subdomains are never touched, so their parameters
-are bitwise stable across rounds.
+are bitwise stable across rounds. The plain PINN and the coarse phase
+train their one network as a one-subdomain state on the same step, loss
+and record code, without rounds or cache refreshes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import (classify_points, empty_subdomains,
+from .decomposition import (Decomposition, Subdomain, WindowParams,
+                            classify_points, empty_subdomains,
                             sample_collocation, window_table)
 from .networks import (NumericalFailureError, _forward, eval_batch,
                        eval_values, init_params, loss_gradient)
@@ -81,8 +84,8 @@ class SubdomainWorkspace:
     points, then the soft boundary points the subdomain holds (none under a
     hard constraint). Row id k is collocation point k below the number of
     collocation points and soft boundary point k - that number above it.
-    point_ids, x, win and owned_mask are the member slices of the row
-    tables; the other arrays without a row_ prefix cover members only."""
+    point_ids, x and win are the member slices of the row tables; the
+    other arrays without a row_ prefix cover members only."""
 
     index: int
     row_ids: np.ndarray
@@ -103,13 +106,12 @@ class SubdomainWorkspace:
 
     def __post_init__(self):
         n = len(self.dwin)
-        self.point_ids, self.x = self.row_ids[:n], self.row_x[:n]
-        self.win, self.owned_mask = self.row_win[:n], self.row_owned[:n]
+        self.point_ids, self.x, self.win = self.row_ids[:n], self.row_x[:n], self.row_win[:n]
 
 
 @dataclass
 class _ForwardMemo:
-    """Forwards shared within one train() call. local[j] is network j's
+    """Forwards shared within one _train() call. local[j] is network j's
     (u, du, tape) on its workspace inputs at its current parameters and is
     dropped when network j's optimizer steps. coarse[j] is the frozen coarse
     network's (u at every row, du at the member points) on workspace j."""
@@ -169,7 +171,30 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         raise ValueError("problem and decomposition domains differ")
     if not isinstance(communication_interval, (int, np.integer)) or communication_interval < 1:
         raise ValueError(f"communication_interval must be >= 1, got {communication_interval!r}")
+    workspaces, tables = _workspaces(problem, decomposition, points)
+    n_sub = decomposition.n_subdomains
+    params = [init_params(layer_sizes, master_seed + j) for j in range(1, n_sub + 1)]
+    optimizers = [make_optimizer(optimizer, learning_rate) for _ in range(n_sub)]
+    coarse_params = coarse_optimizer = None
+    if coarse_layer_sizes is not None:
+        coarse_params = init_params(coarse_layer_sizes, master_seed)
+        coarse_optimizer = make_optimizer(optimizer, learning_rate)
 
+    state = FbpinnState(
+        problem=problem, decomposition=decomposition,
+        params=params, coarse_params=coarse_params,
+        coarse_norm=(dom.midpoint, 0.5 * dom.width),
+        optimizers=optimizers, coarse_optimizer=coarse_optimizer,
+        communication_interval=int(communication_interval), round=0, step=0,
+        workspaces=workspaces, tables=tables, cache=None,
+    )
+    state.cache = refresh_overlap_cache(state)
+    return state
+
+
+def _workspaces(problem, decomposition, points):
+    """Classify the collocation points and build every subdomain's
+    workspace and the global tables: (workspaces, tables)."""
     colloc = classify_points(decomposition, points)
     empty = empty_subdomains(decomposition, colloc.points)
     if empty:
@@ -197,7 +222,7 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         bc_targets = np.asarray(problem.constraint.targets, dtype=float)
         bc_weight = float(problem.constraint.weight)
         for xb in bc_x:
-            if not dom.contains(xb):
+            if not problem.domain.contains(xb):
                 raise ValueError(f"soft boundary point {xb!r} outside the domain")
         rows = [(np.concatenate([ids, n_points + bids]), np.concatenate([win, bwin]), dwin)
                 for (ids, win, dwin), (bids, bwin, _) in
@@ -242,26 +267,7 @@ def create_state(problem, decomposition, points, *, layer_sizes,
                                               assume_unique=True, return_indices=True)
             m = common.searchsorted(n_points)
             ws.outgoing.append((l, src, dst, src[:m], dst[:m]))
-
-    params = [init_params(layer_sizes, master_seed + j) for j in range(1, n_sub + 1)]
-    optimizers = [make_optimizer(optimizer, learning_rate) for _ in range(n_sub)]
-    coarse_params = coarse_optimizer = None
-    if coarse_layer_sizes is not None:
-        coarse_params = init_params(coarse_layer_sizes, master_seed)
-        coarse_optimizer = make_optimizer(optimizer, learning_rate)
-
-    state = FbpinnState(
-        problem=problem, decomposition=decomposition,
-        params=params, coarse_params=coarse_params,
-        coarse_norm=(dom.midpoint, 0.5 * dom.width),
-        optimizers=optimizers, coarse_optimizer=coarse_optimizer,
-        communication_interval=int(communication_interval), round=0, step=0,
-        workspaces=workspaces,
-        tables=_GlobalTables(pts, interior_mask, overlap_mask, len(bc_x), bc_weight),
-        cache=None,
-    )
-    state.cache = refresh_overlap_cache(state)
-    return state
+    return workspaces, _GlobalTables(pts, interior_mask, overlap_mask, len(bc_x), bc_weight)
 
 
 def _coarse_eval(state, x):
@@ -433,12 +439,24 @@ def local_loss(state, j, cache=None):
     """Subdomain j's training loss: squared residuals over its member points,
     scaled by the global point count, plus the penalty of its soft boundary
     rows, with foreign contributions taken from the cache."""
-    cache = cache if cache is not None else state.cache
-    inputs, loss_fn = _make_local_loss_fn(state, j, cache)
+    inputs, loss_fn = _make_local_loss_fn(state, j, cache if cache is not None else state.cache)
     with np.errstate(invalid="ignore", over="ignore"):
-        u, du = eval_batch(state.params[j - 1], inputs)
-        loss, _, _ = loss_fn(u, du)
-    return float(loss)
+        return float(loss_fn(*eval_batch(state.params[j - 1], inputs))[0])
+
+
+def _step(state, order, memo):
+    """One optimizer step of each network in order against state.cache."""
+    state.step += 1
+    for j in order:
+        inputs, loss_fn = _make_local_loss_fn(state, j, state.cache)
+        forward = memo.local.pop(j, None) if memo is not None else None
+        try:
+            _, grad = loss_gradient(state.params[j - 1], inputs, loss_fn, forward)
+        except NumericalFailureError as err:
+            err.subdomain = j
+            err.step = state.step
+            raise
+        state.optimizers[j - 1].step(state.params[j - 1], grad)
 
 
 def _train_round(state, active, on_step, memo=None):
@@ -447,19 +465,8 @@ def _train_round(state, active, on_step, memo=None):
             raise ValueError(f"active subdomain {j} out of range")
     order = sorted(active.active)
     for _ in range(state.communication_interval):
-        state.step += 1
-        for j in order:
-            inputs, loss_fn = _make_local_loss_fn(state, j, state.cache)
-            forward = memo.local.pop(j, None) if memo is not None else None
-            try:
-                _, grad = loss_gradient(state.params[j - 1], inputs, loss_fn, forward)
-            except NumericalFailureError as err:
-                err.subdomain = j
-                err.step = state.step
-                raise
-            state.optimizers[j - 1].step(state.params[j - 1], grad)
-        if on_step is not None:
-            on_step()
+        _step(state, order, memo)
+        on_step()
     state.round += 1
     state.cache = refresh_overlap_cache(state, memo)
     return state
@@ -468,7 +475,7 @@ def _train_round(state, active, on_step, memo=None):
 def train_round(state, active):
     """One round: p optimizer steps for each active subdomain against the
     frozen cache, then a single cache refresh."""
-    return _train_round(state, active, None)
+    return _train_round(state, active, lambda: None)
 
 
 @dataclass
@@ -478,7 +485,7 @@ class _EvalGrid:
     x: np.ndarray
     cons: np.ndarray | None
     entries: list          # per subdomain (idx, win, x_hat)
-    coarse_value: np.ndarray | None   # the coarse network is frozen in train()
+    coarse_value: np.ndarray | None   # the coarse network is frozen in _train()
 
 
 def _make_eval_grid(state, x):
@@ -489,17 +496,15 @@ def _make_eval_grid(state, x):
         sd = state.decomposition.subdomains[ws.index - 1]
         x_hat, _ = _norm_inputs(sd.left, sd.right, x[idx])
         entries.append((idx, win, x_hat))
+    coarse_value = None
+    if state.coarse_params is not None:
+        center, halfwidth = state.coarse_norm
+        with np.errstate(invalid="ignore", over="ignore"):
+            coarse_value = eval_values(state.coarse_params, (x - center) / halfwidth)
     return _EvalGrid(
         x=x,
         cons=np.asarray(state.problem.constraint.multiplier(x), dtype=float) if hard else None,
-        entries=entries,
-        coarse_value=_coarse_value(state, x) if state.coarse_params is not None else None)
-
-
-def _coarse_value(state, x):
-    center, halfwidth = state.coarse_norm
-    with np.errstate(invalid="ignore", over="ignore"):
-        return eval_values(state.coarse_params, (x - center) / halfwidth)
+        entries=entries, coarse_value=coarse_value)
 
 
 def _constrained(grid, value):
@@ -544,10 +549,23 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
     global_loss(state) at the same two points."""
     if not isinstance(rounds, (int, np.integer)) or rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds!r}")
-    if not isinstance(record_interval, (int, np.integer)) or record_interval < 1:
-        raise ValueError(f"record_interval must be >= 1, got {record_interval!r}")
     if schedule.n_subdomains != state.n_subdomains:
         raise ValueError("schedule and state disagree on the number of subdomains")
+    return _train(state, schedule, int(rounds) * state.communication_interval,
+                  record_interval=record_interval, l2_points=l2_points,
+                  report=report, phase=phase, step_offset=step_offset)
+
+
+def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
+           report=None, phase="fbpinn", step_offset=0):
+    """`steps` optimizer steps, recorded and reported as train describes:
+    whole rounds of schedule, or with schedule None steps of a _lone_state's
+    network, which has no rounds and no cache to refresh; its records' round
+    is then the number of steps taken before. A failure's step is numbered
+    as the records are, from step_offset."""
+    for name, value in (("steps", steps), ("record_interval", record_interval)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     report = report if report is not None else RunReport()
     grid = _make_eval_grid(state, sample_collocation(
         state.problem.domain,
@@ -560,7 +578,7 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
     memo = _ForwardMemo()
     if report.initial_loss is None:
         report.initial_loss = _checked_loss(state, state.cache, memo).total
-    final_step = state.step + int(rounds) * state.communication_interval
+    final_step = state.step + steps
     final = {}
 
     def on_step():
@@ -579,122 +597,60 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
                 bd.overlap, bd.boundary, l2))
 
     try:
-        for _ in range(int(rounds)):
-            _train_round(state, schedule_active_set(schedule, state.round),
-                         on_step, memo)
+        if schedule is None:
+            for _ in range(steps):
+                _step(state, (1,), memo)
+                on_step()
+                state.round += 1
+        else:
+            for _ in range(steps // state.communication_interval):
+                _train_round(state, schedule_active_set(schedule, state.round),
+                             on_step, memo)
     except NumericalFailureError as err:
         report.wall_time_s += time.perf_counter() - started
+        err.step += step_offset
         err.report = report
         raise
     report.wall_time_s += time.perf_counter() - started
     report.final_loss = _checked_loss(state, state.cache, memo)
     report.final_l2, report.solution_pred = final["l2"], final["pred"]
-    report.solution_x = grid.x
-    report.solution_exact = exact
+    report.solution_x, report.solution_exact = grid.x, exact
     if grid.coarse_value is not None:
         report.solution_coarse = _constrained(grid, grid.coarse_value)
-    report.phases[phase] = report.phases.get(phase, 0) + int(rounds) * state.communication_interval
+    report.phases[phase] = report.phases.get(phase, 0) + steps
     return report
 
 
-def _train_single(params, problem, points, optimizer, steps, *, norm,
-                  record_interval, report, phase, l2_points):
-    """Full-batch training of one network u(x_hat) under the problem's
-    constraint; shared by the plain-network baseline and the coarse phase."""
-    x = np.asarray(points, dtype=float)
-    n = len(x)
-    center, halfwidth = norm
-    x_hat = (x - center) / halfwidth
-    scale = 1.0 / halfwidth
-    rhs = np.asarray(problem.rhs(x), dtype=float)
-    hard = problem.constraint.kind == "hard"
-    if hard:
-        cons = np.asarray(problem.constraint.multiplier(x), dtype=float)
-        dcons = np.asarray(problem.constraint.multiplier_prime(x), dtype=float)
-        inputs = x_hat
-    else:
-        bc_x = np.asarray(problem.constraint.points, dtype=float)
-        bc_t = np.asarray(problem.constraint.targets, dtype=float)
-        weight = float(problem.constraint.weight)
-        inputs = np.concatenate([x_hat, (bc_x - center) / halfwidth])
-
-    def loss_fn(u_all, du_all):
-        u, du = u_all[:n], du_all[:n]
-        if hard:
-            r = dcons * u + cons * (scale * du) - rhs
-            loss = (r @ r) / n
-            ru = (2.0 / n) * r
-            return loss, ru * dcons, ru * (cons * scale)
-        r = scale * du - rhs
-        loss = (r @ r) / n
-        err = u_all[n:] - bc_t
-        loss = loss + weight * (err @ err) / len(bc_t)
-        gu = np.concatenate([np.zeros(n), (2.0 * weight / len(bc_t)) * err])
-        gd = np.concatenate([(2.0 / n) * r * scale, np.zeros(len(bc_t))])
-        return loss, gu, gd
-
-    grid_x = sample_collocation(problem.domain, l2_points)
-    grid_exact = np.asarray(problem.exact_solution(grid_x), dtype=float)
-    grid_norm = float(np.linalg.norm(grid_exact))
-    grid_hat = (grid_x - center) / halfwidth
-    grid_cons = (np.asarray(problem.constraint.multiplier(grid_x), dtype=float)
-                 if hard else None)
-
-    def current_loss():
-        with np.errstate(invalid="ignore", over="ignore"):
-            u, du = eval_batch(params, inputs)
-            loss, _, _ = loss_fn(u, du)
-        return float(loss)
-
-    def current_l2():
-        with np.errstate(invalid="ignore", over="ignore"):
-            u = eval_values(params, grid_hat)
-            pred = grid_cons * u if hard else u
-            return float(np.linalg.norm(pred - grid_exact) / grid_norm), pred
-
-    started = time.perf_counter()
-    report.initial_loss = current_loss()
-    for s in range(1, int(steps) + 1):
-        try:
-            _, grad = loss_gradient(params, inputs, loss_fn)
-        except NumericalFailureError as err:
-            err.step = s
-            report.wall_time_s += time.perf_counter() - started
-            err.report = report
-            raise
-        optimizer.step(params, grad)
-        if s % record_interval == 0 or s == steps:
-            loss = current_loss()
-            l2, pred = current_l2()
-            report.records.append(LossRecord(s, s - 1, phase,
-                                             loss, loss, 0.0, 0.0, l2))
-    report.wall_time_s += time.perf_counter() - started
-    # step `steps` always records, at the final parameters
-    report.final_loss = LossBreakdown(loss, loss, 0.0)
-    report.final_l2 = l2
-    report.solution_x = grid_x
-    report.solution_pred = pred
-    report.solution_exact = grid_exact
-    report.phases[phase] = report.phases.get(phase, 0) + int(steps)
-    return report
+def _lone_state(problem, points, params, optimizer):
+    """One network on the whole domain as a one-subdomain state: its window
+    is 1 and it has no neighbor and no coarse term, so its cache is zero
+    and is never refreshed. The subdomain's bounds are the domain's own, so
+    its inputs are normalized exactly as coarse_norm normalizes them."""
+    dom = problem.domain
+    decomposition = Decomposition(
+        dom, (Subdomain(1, dom.a, dom.b, frozenset()),),
+        (WindowParams(None, None),), None)
+    workspaces, tables = _workspaces(problem, decomposition, points)
+    ws = workspaces[0]
+    return FbpinnState(
+        problem=problem, decomposition=decomposition, params=[params],
+        coarse_params=None, coarse_norm=(dom.midpoint, 0.5 * dom.width),
+        optimizers=[optimizer], coarse_optimizer=None,
+        communication_interval=1, round=0, step=0,
+        workspaces=workspaces, tables=tables,
+        cache=OverlapCache([np.zeros(len(ws.row_x))], [np.zeros(len(ws.x))], 0))
 
 
 def train_pinn(problem, points, *, layer_sizes, steps, optimizer="adam",
                learning_rate=1e-3, seed=0, record_interval=10, l2_points=None):
-    """Single-network baseline on the full domain, normalized to [-1, 1].
-    With one subdomain this matches the decomposed trainer step for step."""
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
-    params = init_params(layer_sizes, seed)
-    opt = make_optimizer(optimizer, learning_rate)
-    report = RunReport()
-    dom = problem.domain
-    pts = np.asarray(points, dtype=float)
-    _train_single(params, problem, pts, opt, steps,
-                  norm=(dom.midpoint, 0.5 * dom.width),
-                  record_interval=record_interval, report=report, phase="pinn",
-                  l2_points=l2_points if l2_points is not None else 10 * len(pts))
-    return report
+    """Single-network baseline on the full domain, normalized to [-1, 1]:
+    a one-subdomain state with window 1, trained and recorded by the same
+    step, loss and record code as train. The points must lie in the
+    problem's domain."""
+    state = _lone_state(problem, points, init_params(layer_sizes, seed),
+                        make_optimizer(optimizer, learning_rate))
+    return _train(state, None, steps, record_interval=record_interval,
+                  l2_points=l2_points, phase="pinn")
 
 
 def train_coarse_then_local(state, coarse_epochs, coarse_points, local_rounds,
@@ -702,20 +658,26 @@ def train_coarse_then_local(state, coarse_epochs, coarse_points, local_rounds,
     """Two-phase run: first fit the coarse network alone on its own equispaced
     grid, then freeze it bitwise and train the local networks around it. With
     coarse_epochs=0 the coarse network contributes its untrained
-    initialization and the run degenerates to plain decomposed training."""
+    initialization and the run degenerates to plain decomposed training.
+    A numerical failure in the first phase names the coarse network as its
+    subdomain."""
     if state.coarse_params is None:
         raise ValueError("state was created without a coarse network")
     if not isinstance(coarse_epochs, (int, np.integer)) or coarse_epochs < 0:
         raise ValueError(f"coarse_epochs must be >= 0, got {coarse_epochs!r}")
     report = RunReport()
     if coarse_epochs > 0:
-        pts = sample_collocation(state.problem.domain, coarse_points)
-        _train_single(state.coarse_params, state.problem, pts,
-                      state.coarse_optimizer, coarse_epochs,
-                      norm=state.coarse_norm, record_interval=record_interval,
-                      report=report, phase="coarse",
-                      l2_points=l2_points if l2_points is not None
-                      else 10 * len(state.tables.x))
+        lone = _lone_state(state.problem,
+                           sample_collocation(state.problem.domain, coarse_points),
+                           state.coarse_params, state.coarse_optimizer)
+        try:
+            _train(lone, None, int(coarse_epochs), record_interval=record_interval,
+                   l2_points=l2_points if l2_points is not None
+                   else 10 * len(state.tables.x),
+                   report=report, phase="coarse")
+        except NumericalFailureError as err:
+            err.subdomain = "coarse"
+            raise
     state.cache = refresh_overlap_cache(state)
     schedule = schedule if schedule is not None else parallel_schedule(state.n_subdomains)
     train(state, schedule, local_rounds, record_interval=record_interval,

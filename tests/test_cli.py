@@ -131,6 +131,39 @@ def test_numerical_failure_exits_3_with_location(tmp_path, capsys):
     assert (out / "summary.json").exists()
 
 
+COARSE_BLOWUP = {
+    "problem": {"kind": "two_frequency", "omega1": 1.0, "omega2": 3.0},
+    "coarse": {"enabled": True, "points": 30, "epochs": 5,
+               "hidden_layers": 1, "hidden_width": 8},
+    "training": {"steps": 10, "record_interval": 5, "optimizer": "sgd",
+                 "learning_rate": 1e300},
+}
+
+
+def test_coarse_phase_failure_names_the_coarse_network(tmp_path, capsys):
+    cfg = write_config(tmp_path, **COARSE_BLOWUP)
+    out = tmp_path / "blowup"
+    assert main(["coarse", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: numerical failure (step 2, coarse "
+                                       "network): non-finite loss value inf\n")
+    assert (out / "summary.json").exists()
+
+
+def test_local_phase_failure_step_counts_the_coarse_epochs(tmp_path, capsys):
+    # one coarse epoch blows the coarse network up; the local phase fails at
+    # its first step, which loss_history.csv would number 2
+    cfg = write_config(tmp_path, **{
+        **COARSE_BLOWUP,
+        "coarse": {**COARSE_BLOWUP["coarse"], "epochs": 1},
+        "training": {**COARSE_BLOWUP["training"], "learning_rate": 1e200}})
+    out = tmp_path / "blowup"
+    assert main(["coarse", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: numerical failure (step 2, "
+                                       "subdomain 1): non-finite loss value inf\n")
+    _, rows = read_csv(out / "loss_history.csv")
+    assert [(r[0], r[-1]) for r in rows] == [("1", "coarse")]
+
+
 WRITE_ERROR_CASES = [
     ("run", "write_run_artifacts", {}),
     ("coarse", "write_run_artifacts",

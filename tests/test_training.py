@@ -10,10 +10,13 @@ from fbpinn.networks import NumericalFailureError, eval_batch, loss_gradient
 from fbpinn.problems import SoftConstraint, make_single_frequency, tanh_constraint
 from fbpinn.scheduling import (active_set, alternating_schedule,
                                colored_schedule, parallel_schedule)
+from fbpinn.optimizers import make_optimizer
 from fbpinn.training import (create_state, global_loss, local_loss,
                              refresh_overlap_cache, solution_values, train,
                              train_coarse_then_local, train_pinn, train_round,
-                             _stale_breakdown, _train_single, RunReport)
+                             _stale_breakdown, RunReport)
+
+from plain_pinn import train_plain
 
 DOM = Interval(-2 * np.pi, 2 * np.pi)
 
@@ -348,6 +351,80 @@ def test_train_pinn_descends_and_validates():
         train_pinn(prob, pts, layer_sizes=[1, 8, 1], steps=0)
 
 
+@pytest.mark.parametrize("record_interval", [0, 2.5])
+def test_train_pinn_rejects_a_bad_record_interval(record_interval):
+    prob = make_single_frequency(2.0, DOM)
+    with pytest.raises(ValueError, match="record_interval"):
+        train_pinn(prob, sample_collocation(DOM, 30), layer_sizes=[1, 4, 1],
+                   steps=4, record_interval=record_interval)
+
+
+def test_train_pinn_rejects_points_outside_the_domain():
+    prob = make_single_frequency(2.0, DOM)
+    pts = np.append(sample_collocation(DOM, 30), DOM.b + 1.0)
+    with pytest.raises(ValueError, match="outside domain"):
+        train_pinn(prob, pts, layer_sizes=[1, 4, 1], steps=4)
+
+
+def _plain_problem(constraint):
+    prob = make_single_frequency(3.0, DOM)
+    if constraint == "soft":
+        prob = prob.with_constraint(MULTI)
+    return prob
+
+
+def _run_one_network(path, prob, pts, optimizer, lr, steps, monkeypatch):
+    """Train one network with seed 7 on pts along path; returns its
+    final parameters and the records of that training."""
+    made = []
+
+    def capture(sizes, seed):
+        made.append(networks.init_params(sizes, seed))
+        return made[-1]
+
+    monkeypatch.setattr(training, "init_params", capture)
+    kw = dict(optimizer=optimizer, learning_rate=lr)
+    if path == "train_pinn":
+        rep = train_pinn(prob, pts, layer_sizes=[1, 8, 1], steps=steps, seed=7,
+                         record_interval=4, l2_points=70, **kw)
+        return made[0], rep.records
+    if path == "coarse phase":
+        state = create_state(prob, build_decomposition(DOM, 3, 0.7),
+                             sample_collocation(DOM, 40), layer_sizes=[1, 5, 1],
+                             master_seed=7, coarse_layer_sizes=[1, 8, 1], **kw)
+        rep = train_coarse_then_local(state, steps, len(pts), 2,
+                                      record_interval=4, l2_points=70)
+        return state.coarse_params, [r for r in rep.records if r.phase == "coarse"]
+    state = create_state(prob, build_decomposition(DOM, 1, 0.7), pts,
+                         layer_sizes=[1, 8, 1], master_seed=6, **kw)
+    rep = train(state, parallel_schedule(1), steps, record_interval=4, l2_points=70)
+    return state.params[0], rep.records
+
+
+@pytest.mark.parametrize("path", ["train_pinn", "coarse phase", "J=1 train"])
+@pytest.mark.parametrize("optimizer, lr", [("adam", 1e-2), ("sgd", 1e-3)])
+@pytest.mark.parametrize("constraint", ["hard", "soft"])
+def test_one_network_matches_the_plain_pinn_reference(path, optimizer, lr,
+                                                      constraint, monkeypatch):
+    # a single network on the whole domain, along whichever path, takes the
+    # plain PINN's steps bit for bit; only the recorded loss is summed in
+    # another order
+    prob = _plain_problem(constraint)
+    pts = sample_collocation(DOM, 50)
+    steps = 10
+    params, records = _run_one_network(path, prob, pts, optimizer, lr, steps,
+                                       monkeypatch)
+    ref_params = networks.init_params([1, 8, 1], 7)
+    ref = train_plain(ref_params, prob, pts, make_optimizer(optimizer, lr), steps,
+                      norm=(DOM.midpoint, 0.5 * DOM.width), record_interval=4,
+                      l2_points=70)
+    assert same_params(snapshot([ref_params]), [params])
+    assert [(r.step, r.round) for r in records] == [(s, s - 1) for s, _, _ in ref]
+    for r, (_, total, l2) in zip(records, ref):
+        assert r.total == pytest.approx(total, rel=1e-13, abs=0.0)
+        assert r.l2_error == l2
+
+
 def coarse_state(seed=0, n_sub=3, n_pts=60, **kw):
     prob = make_single_frequency(3.0, DOM)
     dec = build_decomposition(DOM, n_sub, 0.7)
@@ -386,11 +463,9 @@ def test_coarse_frozen_during_local_phase():
                                   local_rounds=5, record_interval=10)
     # replay phase 1 alone with identical inputs: phase 2 must not move theta_g
     twin = coarse_state(seed=1)
-    rep2 = RunReport()
-    _train_single(twin.coarse_params, twin.problem,
-                  sample_collocation(DOM, 50), twin.coarse_optimizer, 20,
-                  norm=twin.coarse_norm, record_interval=10, report=rep2,
-                  phase="coarse", l2_points=100)
+    train_plain(twin.coarse_params, twin.problem, sample_collocation(DOM, 50),
+                twin.coarse_optimizer, 20, norm=twin.coarse_norm,
+                record_interval=10, l2_points=100)
     assert same_params(snapshot([twin.coarse_params]), [state.coarse_params])
     assert rep.phases == {"coarse": 20, "local": 5}
     phases = [r.phase for r in rep.records]
@@ -519,13 +594,14 @@ def test_train_pinn_final_loss_and_l2_equal_a_fresh_evaluation(monkeypatch):
     rep = train_pinn(prob, pts, layer_sizes=[1, 8, 1], steps=7, seed=3,
                      record_interval=3, l2_points=90)
     params = made[0]
-    # the single-network hard residual and L2 error at the final parameters,
-    # in the trainer's operation order
+    # the single-network hard residual, its mean square as the loss split
+    # sums it, and the L2 error at the final parameters, in the trainer's
+    # operation order
     halfwidth = 0.5 * DOM.width
     u, du = eval_batch(params, (pts - DOM.midpoint) / halfwidth)
     r = (prob.constraint.multiplier_prime(pts) * u
          + prob.constraint.multiplier(pts) * ((1.0 / halfwidth) * du) - prob.rhs(pts))
-    assert rep.final_loss.total == (r @ r) / len(pts)
+    assert rep.final_loss.total == np.sum(r * r) / len(pts)
     pred = prob.constraint.multiplier(rep.solution_x) * networks.eval_values(
         params, (rep.solution_x - DOM.midpoint) / halfwidth)
     assert np.array_equal(rep.solution_pred, pred)
