@@ -24,6 +24,7 @@ from .config import (ConfigError, build_problem, build_schedule,
 from .decomposition import (build_decomposition, empty_subdomains,
                             sample_collocation)
 from .networks import NumericalFailureError
+from .problems import UndefinedL2Error
 from .reporting import (scalability_trends, write_run_artifacts,
                         write_sweep_summary, write_trends)
 from .training import (create_state, train, train_coarse_then_local)
@@ -201,6 +202,10 @@ def main(argv=None):
         where = f" (step {err.step}, {network})" if err.step is not None else ""
         print(f"error: numerical failure{where}: {err}", file=sys.stderr)
         return 3
+    except UndefinedL2Error as err:
+        # training raises it before its first step, so nothing is written
+        print(f"error: problem: {err}", file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"error: cannot write outputs: {err}", file=sys.stderr)
         return 4

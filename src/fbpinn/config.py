@@ -160,6 +160,8 @@ def validate_config(cfg):
     _require(isinstance(p.domain, (list, tuple)) and len(p.domain) == 2
              and all(_is_num(v) for v in p.domain) and p.domain[0] < p.domain[1],
              "problem.domain must be [a, b] with a < b")
+    _require(math.isfinite(p.domain[1] - p.domain[0]),
+             f"problem.domain width b - a must be finite, got {p.domain[1] - p.domain[0]!r}")
     _require(p.domain[0] <= 0.0 <= p.domain[1], "problem.domain must contain 0")
     _require(p.constraint in ("hard", "soft"),
              f"problem.constraint must be 'hard' or 'soft', got {p.constraint!r}")

@@ -85,6 +85,23 @@ def _check_domain(domain):
             f"domain [{domain.a}, {domain.b}] must contain 0 where the solution is pinned")
 
 
+class UndefinedL2Error(ValueError):
+    """The exact solution's L2 norm on the error grid is 0 or not finite,
+    so the relative L2 error would be infinite or NaN."""
+
+
+def _exact_on_error_grid(problem, x):
+    """The exact solution at the relative L2 error's grid points x;
+    UndefinedL2Error when its norm there underflows to 0 or overflows."""
+    exact = np.asarray(problem.exact_solution(x), dtype=float)
+    norm = float(np.linalg.norm(exact))
+    if not 0.0 < norm < math.inf:
+        raise UndefinedL2Error(f"the exact solution's L2 norm on the {len(x)}-point "
+                               f"error grid is {norm!r}, so the relative L2 error "
+                               f"is undefined")
+    return exact
+
+
 def make_single_frequency(omega, domain):
     """du/dx = cos(omega x), u(0) = 0, exact solution sin(omega x)/omega."""
     if omega == 0:

@@ -6,15 +6,17 @@ constraint. Training proceeds in rounds: every active subdomain takes p
 optimizer steps against its own parameters while all foreign contributions
 at shared points stay frozen in an overlap cache, then the cache is
 refreshed once. Inactive subdomains are never touched, so their parameters
-are bitwise stable across rounds. The plain PINN and the coarse phase
-train their one network as a one-subdomain state on the same step, loss
-and record code, without rounds or cache refreshes.
+are bitwise stable across rounds. The frozen coarse network is level 0:
+one workspace with window 1 on the whole domain, a source of every
+subdomain's cache like a neighbor, but never active. The plain PINN and
+the coarse phase train their one network as a one-subdomain state on
+the same step, loss and record code, without rounds or cache refreshes.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .decomposition import (Decomposition, Subdomain, WindowParams,
 from .networks import (NumericalFailureError, _forward, eval_batch,
                        eval_values, init_params, loss_gradient)
 from .optimizers import make_optimizer
+from .problems import _exact_on_error_grid
 from .scheduling import parallel_schedule, active_set as schedule_active_set
 
 
@@ -41,10 +44,11 @@ class LossBreakdown:
 
 @dataclass
 class OverlapCache:
-    """Frozen background per subdomain: the weighted sum of neighbor-network
-    contributions (zero where no neighbor holds the row) plus the
-    coarse-network term when one is present. values[j] is aligned with
-    every row of workspace j + 1, dvalues[j] with its member points."""
+    """Frozen background per subdomain: the window-weighted sum of its
+    sources' contributions, the level-0 coarse network's at every row when
+    one is present and each neighbor's at the rows they share (zero where
+    no source holds a row). values[j] is aligned with every row of
+    workspace j + 1, dvalues[j] with its member points."""
 
     values: list
     dvalues: list
@@ -87,7 +91,7 @@ class SubdomainWorkspace:
     point_ids, x and win are the member slices of the row tables; the
     other arrays without a row_ prefix cover members only."""
 
-    index: int
+    index: int                    # subdomain j; 0 is the coarse network (level 0)
     row_ids: np.ndarray
     row_x: np.ndarray
     input_scale: float            # d(x_hat)/dx
@@ -113,11 +117,11 @@ class SubdomainWorkspace:
 class _ForwardMemo:
     """Forwards shared within one _train() call. local[j] is network j's
     (u, du, tape) on its workspace inputs at its current parameters and is
-    dropped when network j's optimizer steps. coarse[j] is the frozen coarse
-    network's (u at every row, du at the member points) on workspace j."""
+    dropped when network j's optimizer steps. local[0] is the frozen
+    coarse network's (u, du, None) on the level-0 rows: it never steps, so
+    its tape is not kept."""
 
     local: dict = field(default_factory=dict)
-    coarse: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -135,7 +139,6 @@ class FbpinnState:
     decomposition: object
     params: list
     coarse_params: object | None
-    coarse_norm: tuple
     optimizers: list
     coarse_optimizer: object | None
     communication_interval: int
@@ -144,10 +147,16 @@ class FbpinnState:
     workspaces: list
     tables: _GlobalTables
     cache: OverlapCache | None
+    coarse_workspace: SubdomainWorkspace | None = None   # level 0
 
     @property
     def n_subdomains(self):
         return len(self.params)
+
+    @property
+    def coarse_norm(self):
+        """(center, halfwidth) mapping the domain onto the coarse inputs."""
+        return self.problem.domain.midpoint, 0.5 * self.problem.domain.width
 
 
 def _norm_inputs(left, right, x):
@@ -175,18 +184,19 @@ def create_state(problem, decomposition, points, *, layer_sizes,
     n_sub = decomposition.n_subdomains
     params = [init_params(layer_sizes, master_seed + j) for j in range(1, n_sub + 1)]
     optimizers = [make_optimizer(optimizer, learning_rate) for _ in range(n_sub)]
-    coarse_params = coarse_optimizer = None
+    coarse_params = coarse_optimizer = coarse_workspace = None
     if coarse_layer_sizes is not None:
         coarse_params = init_params(coarse_layer_sizes, master_seed)
         coarse_optimizer = make_optimizer(optimizer, learning_rate)
+        coarse_workspace = _level0(problem, workspaces, tables)
 
     state = FbpinnState(
         problem=problem, decomposition=decomposition,
         params=params, coarse_params=coarse_params,
-        coarse_norm=(dom.midpoint, 0.5 * dom.width),
         optimizers=optimizers, coarse_optimizer=coarse_optimizer,
         communication_interval=int(communication_interval), round=0, step=0,
         workspaces=workspaces, tables=tables, cache=None,
+        coarse_workspace=coarse_workspace,
     )
     state.cache = refresh_overlap_cache(state)
     return state
@@ -270,60 +280,43 @@ def _workspaces(problem, decomposition, points):
     return workspaces, _GlobalTables(pts, interior_mask, overlap_mask, len(bc_x), bc_weight)
 
 
-def _coarse_eval(state, x):
-    center, halfwidth = state.coarse_norm
-    u, du = eval_batch(state.coarse_params, (np.asarray(x, dtype=float) - center) / halfwidth)
-    return u, du / halfwidth
+def _level0(problem, workspaces, tables):
+    """The coarse network's workspace, index 0: a _lone_state's on the
+    collocation points, whose rows are every collocation point and then
+    every soft boundary point, so row k is row id k. It routes every row
+    of each subdomain's workspace to that workspace's cache."""
+    ws = _lone_state(problem, tables.x, None, None).workspaces[0]
+    return replace(ws, index=0, outgoing=[
+        (w.index, w.row_ids, slice(None), w.point_ids, slice(None)) for w in workspaces])
 
 
-def _local_values(state, ws, memo=None):
+def _local_values(params, ws, memo=None):
     """Network ws.index's value and input derivative at every row of ws:
-    one tangent forward on ws.inputs, taken from the memo while the
-    parameters are unchanged."""
+    one tangent forward of params on ws.inputs, taken from the memo while
+    the parameters are unchanged."""
     forward = memo.local.get(ws.index) if memo is not None else None
     if forward is None:
-        forward = _forward(state.params[ws.index - 1], ws.inputs)
+        forward = _forward(params, ws.inputs)
         if memo is not None:
-            memo.local[ws.index] = forward
-    u, du, _ = forward
-    return u, du
-
-
-def _coarse_background(state, ws, memo=None):
-    """Coarse value at every row of ws and its derivative at the member
-    points."""
-    background = memo.coarse.get(ws.index) if memo is not None else None
-    if background is None:
-        # Boundary rows go in a batch of their own: OpenBLAS does not give a
-        # row the same bits at every batch size, and the member rows' bits
-        # must not depend on how many boundary points a subdomain holds.
-        ug, dug = _coarse_eval(state, ws.x)
-        if len(ws.row_x) > len(ws.x):
-            ug = np.concatenate([ug, _coarse_eval(state, ws.row_x[len(ws.x):])[0]])
-        background = (ug, dug)
-        if memo is not None:
-            memo.coarse[ws.index] = background
-    return background
+            memo.local[ws.index] = forward if ws.index else (*forward[:2], None)
+    return forward[0], forward[1]
 
 
 def refresh_overlap_cache(state, memo=None):
     """Recompute every subdomain's frozen background from current parameters:
-    neighbor window-weighted sums at shared rows, plus the coarse network
-    everywhere when one is present."""
-    values, dvalues = [], []
+    one pass over the sources, the level-0 coarse network first when one is
+    present and then the subdomains in ascending order, each adding its
+    window-weighted contribution at the rows it routes to a target."""
+    values = [np.zeros(len(ws.row_x)) for ws in state.workspaces]
+    dvalues = [np.zeros(len(ws.x)) for ws in state.workspaces]
+    sources = list(zip(state.params, state.workspaces))
+    if state.coarse_params is not None:
+        sources.insert(0, (state.coarse_params, state.coarse_workspace))
     with np.errstate(invalid="ignore", over="ignore"):
-        for ws in state.workspaces:
-            if state.coarse_params is not None:
-                ug, dug = _coarse_background(state, ws, memo)
-                values.append(ug.copy())
-                dvalues.append(dug.copy())
-            else:
-                values.append(np.zeros(len(ws.row_x)))
-                dvalues.append(np.zeros(len(ws.x)))
-        for ws in state.workspaces:
+        for params, ws in sources:
             if not ws.outgoing:
                 continue
-            u, du = _local_values(state, ws, memo)
+            u, du = _local_values(params, ws, memo)
             contrib = ws.row_win * u
             dcontrib = _local_dvalue(ws, u, du)
             for target, src, dst, member_src, member_dst in ws.outgoing:
@@ -367,7 +360,7 @@ def _loss_split(state, cache, memo=None):
     with np.errstate(invalid="ignore", over="ignore"):
         for ws in state.workspaces:
             j = ws.index - 1
-            u, du = _local_values(state, ws, memo)
+            u, du = _local_values(state.params[j], ws, memo)
             res = _residual(ws, u, du, cache.values[j], cache.dvalues[j])
             by_row[ws.row_ids[ws.row_owned]] = res[ws.row_owned]
         r, err = by_row[:n], by_row[n:]
@@ -570,7 +563,7 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
     grid = _make_eval_grid(state, sample_collocation(
         state.problem.domain,
         l2_points if l2_points is not None else 10 * len(state.tables.x)))
-    exact = np.asarray(state.problem.exact_solution(grid.x), dtype=float)
+    exact = _exact_on_error_grid(state.problem, grid.x)
     started = time.perf_counter()
     # Each network's tangent forward is computed at most once per parameter
     # version and shared by the loss splits, the cache refresh and the next
@@ -634,8 +627,7 @@ def _lone_state(problem, points, params, optimizer):
     ws = workspaces[0]
     return FbpinnState(
         problem=problem, decomposition=decomposition, params=[params],
-        coarse_params=None, coarse_norm=(dom.midpoint, 0.5 * dom.width),
-        optimizers=[optimizer], coarse_optimizer=None,
+        coarse_params=None, optimizers=[optimizer], coarse_optimizer=None,
         communication_interval=1, round=0, step=0,
         workspaces=workspaces, tables=tables,
         cache=OverlapCache([np.zeros(len(ws.row_x))], [np.zeros(len(ws.x))], 0))

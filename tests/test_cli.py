@@ -304,6 +304,30 @@ def test_steps_that_leave_a_partial_round_exit_2(tmp_path, capsys, command, patc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, problem, message", [
+    # b - a overflows to inf
+    ("run", {"domain": [-1e308, 1e308]},
+     "error: problem.domain width b - a must be finite, got inf"),
+    # the exact solution's squares underflow: its norm is 0 and the
+    # relative L2 error would be inf or nan
+    *((command, {"omega": 1e300}, "error: problem: the exact solution's L2 norm "
+       "on the 600-point error grid is 0.0, so the relative L2 error is undefined")
+      for command in ("run", "sweep", "coarse")),
+    ("run", {"domain": [-1e-300, 1e-300]},
+     "error: problem: the exact solution's L2 norm on the 600-point error grid is 0.0"),
+])
+def test_domain_or_omega_out_of_float_range_exits_2(tmp_path, capsys, command, problem,
+                                                    message):
+    cfg = write_config(tmp_path, problem=problem, training={"steps": 5, "record_interval": 5},
+                       coarse={"enabled": True, "points": 20, "epochs": 2},
+                       sweep={"subdomains": [2], "communication_intervals": [1]})
+    out = tmp_path / "never"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "coarse"])
 @pytest.mark.parametrize("below", [(), ("sub", "dir")])
 def test_out_at_or_under_an_existing_file_exits_2(tmp_path, capsys, command, below):

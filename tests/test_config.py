@@ -91,6 +91,8 @@ def test_non_object_blocks_rejected():
      "schedule.sets must be a non-empty list of index lists"),
     ({"training": {"steps": 3, "communication_interval": 2}},
      r"training.steps = 3 must be a multiple of 2 \(training.communication_interval\)"),
+    ({"problem": {"domain": [-1e308, 1e308]}},
+     "problem.domain width b - a must be finite, got inf"),
 ])
 def test_validation_names_the_offending_key(patch, message):
     with pytest.raises(ConfigError, match=message):

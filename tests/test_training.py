@@ -433,6 +433,27 @@ def coarse_state(seed=0, n_sub=3, n_pts=60, **kw):
                         master_seed=seed, coarse_layer_sizes=[1, 6, 1], **kw)
 
 
+@pytest.mark.parametrize("problem", [
+    make_single_frequency(1e300, DOM),                         # norm 0: error inf
+    make_single_frequency(3.0, Interval(-1e-300, 1e-300)),     # norm 0: error nan
+], ids=["omega-1e300", "tiny-domain"])
+@pytest.mark.parametrize("path", ["train", "train_pinn", "train_coarse_then_local"])
+def test_undefined_relative_l2_error_raises_before_training(problem, path):
+    pts = sample_collocation(problem.domain, 40)
+    state = create_state(problem, build_decomposition(problem.domain, 2, 0.7), pts,
+                         layer_sizes=[1, 6, 1], coarse_layer_sizes=[1, 6, 1])
+    before = snapshot(state.params + [state.coarse_params])
+    with pytest.raises(ValueError, match="L2 norm on the 400-point error grid is 0.0"):
+        if path == "train":
+            train(state, parallel_schedule(2), 2)
+        elif path == "train_pinn":
+            train_pinn(problem, pts, layer_sizes=[1, 6, 1], steps=2)
+        else:
+            train_coarse_then_local(state, coarse_epochs=2, coarse_points=20, local_rounds=2)
+    assert same_params(before, state.params + [state.coarse_params])
+    assert state.step == 0
+
+
 def test_coarse_network_contributes_to_evaluation():
     state = coarse_state(seed=2)
     x = 1.3
@@ -633,8 +654,8 @@ def test_cache_after_train_matches_fresh_refresh(kind, p, constraint):
 
 
 def test_cache_after_coarse_run_matches_fresh_refresh():
-    # the coarse background is reused for the whole local phase and copied
-    # before neighbor contributions accumulate into it
+    # the level-0 forward is reused for the whole local phase; each refresh
+    # accumulates its contribution into fresh zeros, never into the memo
     state = coarse_state(seed=4, n_sub=4)
     train_coarse_then_local(state, coarse_epochs=5, coarse_points=40,
                             local_rounds=4, record_interval=2, l2_points=50)
@@ -673,21 +694,41 @@ def test_coarse_part_of_solution_is_the_frozen_coarse_network(constraint):
     assert np.array_equal(rep.solution_coarse, want)
 
 
-def test_coarse_background_at_members_ignores_boundary_rows():
-    # the coarse values at member points are those of the same state
-    # without boundary rows, bit for bit: BLAS may round a row differently
-    # in a larger batch, so the boundary rows must not share the members'
-    states = [create_state(make_single_frequency(3.0, DOM).with_constraint(c),
-                           build_decomposition(DOM, 4, 0.7), sample_collocation(DOM, 60),
-                           layer_sizes=[1, 6, 1], master_seed=6,
-                           coarse_layer_sizes=[1, 16, 16, 1])
-              for c in (MULTI, tanh_constraint())]
-    assert all(len(ws.row_x) > len(ws.x) for ws in states[0].workspaces[1:])
-    for soft_ws, hard_ws in zip(*(s.workspaces for s in states)):
-        ug, dug = training._coarse_background(states[0], soft_ws)
-        hard_ug, hard_dug = training._coarse_background(states[1], hard_ws)
-        assert np.array_equal(ug[:len(hard_ug)], hard_ug)
-        assert np.array_equal(dug, hard_dug)
+@pytest.mark.parametrize("constraint", ["hard", "soft"])
+def test_one_coarse_forward_per_train_call_on_every_level0_row(monkeypatch, constraint):
+    # the frozen coarse network is level 0 of the memo: one tangent forward
+    # per train call on every collocation point, then every soft boundary
+    # point, routed to every subdomain's cache
+    state = coarse_state(seed=6, n_sub=4)
+    if constraint == "soft":
+        state = create_state(
+            state.problem.with_constraint(MULTI), state.decomposition, state.tables.x,
+            layer_sizes=[1, 6, 1], master_seed=6, coarse_layer_sizes=[1, 6, 1])
+    level0 = state.coarse_workspace
+    assert level0.index == 0
+    assert np.array_equal(level0.row_ids, np.arange(len(state.tables.x) + state.tables.n_bc))
+    coarse_inputs = []
+    real_forward = networks._forward
+
+    def counting_forward(params, x_hat):
+        if params is state.coarse_params:
+            coarse_inputs.append(np.array(x_hat))
+        return real_forward(params, x_hat)
+
+    for module in (networks, training):
+        monkeypatch.setattr(module, "_forward", counting_forward)
+    train(state, parallel_schedule(4), 5, record_interval=2, l2_points=50)
+    assert len(coarse_inputs) == 1
+    assert np.array_equal(coarse_inputs[0], level0.inputs)
+
+    # a row no neighbor holds gets 0 + u: the coarse value bit for bit
+    u, _, _ = real_forward(state.coarse_params, level0.inputs)
+    for ws, values in zip(state.workspaces, state.cache.values):
+        alone = np.ones(len(ws.row_ids), dtype=bool)
+        for _, src, _, _, _ in ws.outgoing:
+            alone[src] = False
+        assert alone.any()
+        assert np.array_equal(values[alone], u[ws.row_ids[alone]])
 
 
 @pytest.mark.parametrize("kind", ["parallel", "alternating"])
