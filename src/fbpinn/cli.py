@@ -72,29 +72,32 @@ def _check_outdir(outdir):
                           f"{path!r} exists and is not a directory")
 
 
-def _build_state(cfg, with_coarse):
+def _rounds(cfg):
+    return math.ceil(cfg.training.steps / cfg.training.communication_interval)
+
+
+def run_single(cfg, outdir, coarse=False):
+    """One training run, two-phase coarse-plus-local when coarse is true
+    (its artifacts then add coarse_solution.csv). Returns (state, report)
+    and writes the artifacts, partial ones on numerical failure."""
     problem, decomposition, points = _layout(cfg, cfg.decomposition.subdomains)
-    return create_state(
+    state = create_state(
         problem, decomposition, points,
         layer_sizes=cfg.network.layer_sizes(),
         communication_interval=cfg.training.communication_interval,
         optimizer=cfg.training.optimizer,
         learning_rate=cfg.training.learning_rate,
         master_seed=cfg.training.seed,
-        coarse_layer_sizes=cfg.coarse.layer_sizes() if with_coarse else None)
-
-
-def _rounds(cfg):
-    return math.ceil(cfg.training.steps / cfg.training.communication_interval)
-
-
-def run_single(cfg, outdir):
-    """One training run; returns (state, report) and writes artifacts."""
-    state = _build_state(cfg, with_coarse=False)
+        coarse_layer_sizes=cfg.coarse.layer_sizes() if coarse else None)
     schedule = build_schedule(cfg, state.n_subdomains)
     try:
-        report = train(state, schedule, _rounds(cfg),
-                       record_interval=cfg.training.record_interval)
+        if coarse:
+            report = train_coarse_then_local(
+                state, cfg.coarse.epochs, cfg.coarse.points, _rounds(cfg), schedule,
+                record_interval=cfg.training.record_interval)
+        else:
+            report = train(state, schedule, _rounds(cfg),
+                           record_interval=cfg.training.record_interval)
     except NumericalFailureError as err:
         if getattr(err, "report", None) is not None:
             err.report.config = cfg.to_echo()
@@ -129,28 +132,6 @@ def run_sweep(cfg, outdir):
     write_sweep_summary(Path(outdir) / "sweep_summary.csv", rows)
     write_trends(Path(outdir) / "trends.json", scalability_trends(rows))
     return rows
-
-
-def run_coarse(cfg, outdir):
-    """Two-phase coarse-plus-local run with the extra solution-decomposition
-    artifact sampling the coarse part, local sum, combination, and exact
-    solution on the evaluation grid."""
-    if not cfg.coarse.enabled:
-        raise ConfigError("coarse.enabled must be true for the coarse subcommand")
-    state = _build_state(cfg, with_coarse=True)
-    schedule = build_schedule(cfg, state.n_subdomains)
-    try:
-        report = train_coarse_then_local(
-            state, cfg.coarse.epochs, cfg.coarse.points, _rounds(cfg), schedule,
-            record_interval=cfg.training.record_interval)
-    except NumericalFailureError as err:
-        if getattr(err, "report", None) is not None:
-            err.report.config = cfg.to_echo()
-            write_run_artifacts(outdir, err.report, state)
-        raise
-    report.config = cfg.to_echo()
-    write_run_artifacts(outdir, report, state)
-    return state, report
 
 
 def main(argv=None):
@@ -189,18 +170,19 @@ def main(argv=None):
         return 2
 
     try:
-        if args.command == "run":
-            _, report = run_single(cfg, outdir)
-        elif args.command == "sweep":
+        if args.command == "sweep":
             rows = run_sweep(cfg, outdir)
             print(f"wrote {len(rows)} sweep cells to {outdir}")
             return 0
-        else:
-            _, report = run_coarse(cfg, outdir)
+        _, report = run_single(cfg, outdir, coarse=args.command == "coarse")
     except NumericalFailureError as err:
-        network = "coarse network" if err.subdomain == "coarse" else f"subdomain {err.subdomain}"
-        where = f" (step {err.step}, {network})" if err.step is not None else ""
-        print(f"error: numerical failure{where}: {err}", file=sys.stderr)
+        # training numbers every failure's step; a final loss that is not
+        # finite names no network
+        where = f"step {err.step}"
+        if err.subdomain is not None:
+            where += ", coarse network" if err.subdomain == "coarse" \
+                else f", subdomain {err.subdomain}"
+        print(f"error: numerical failure ({where}): {err}", file=sys.stderr)
         return 3
     except UndefinedL2Error as err:
         # training raises it before its first step, so nothing is written

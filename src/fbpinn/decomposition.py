@@ -278,13 +278,20 @@ class CollocationSets:
     overlap: list
 
 
-def classify_points(decomposition, points):
+def _collocation_in_domain(domain, points):
+    """points as a float array; ValueError at the first one that is not a
+    finite point of the closed domain."""
     pts = np.asarray(points, dtype=float)
-    dom = decomposition.domain
-    outside = (pts < dom.a) | (pts > dom.b) | ~np.isfinite(pts)
+    outside = (pts < domain.a) | (pts > domain.b) | ~np.isfinite(pts)
     if outside.any():
         i = int(np.argmax(outside))
-        raise ValueError(f"collocation point outside domain [{dom.a}, {dom.b}]: {pts[i]!r}")
+        raise ValueError(
+            f"collocation point outside domain [{domain.a}, {domain.b}]: {pts[i]!r}")
+    return pts
+
+
+def classify_points(decomposition, points):
+    pts = _collocation_in_domain(decomposition.domain, points)
     masks = [(pts >= sd.left) & (pts <= sd.right) for sd in decomposition.subdomains]
     members, interior, overlap = [], [], []
     for sd, mask in zip(decomposition.subdomains, masks):

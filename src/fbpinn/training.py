@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decomposition import (Decomposition, Subdomain, WindowParams,
-                            classify_points, empty_subdomains,
-                            sample_collocation, window_table)
+                            _collocation_in_domain, sample_collocation,
+                            window_table)
 from .networks import (NumericalFailureError, _forward, eval_batch,
                        eval_values, init_params, loss_gradient)
 from .optimizers import make_optimizer
@@ -203,25 +203,22 @@ def create_state(problem, decomposition, points, *, layer_sizes,
 
 
 def _workspaces(problem, decomposition, points):
-    """Classify the collocation points and build every subdomain's
-    workspace and the global tables: (workspaces, tables)."""
-    colloc = classify_points(decomposition, points)
-    empty = empty_subdomains(decomposition, colloc.points)
-    if empty:
-        raise ValueError(f"subdomains {empty} hold no collocation point")
-    pts = colloc.points
+    """Build every subdomain's workspace and the global tables from one
+    window_table pass over the collocation points: (workspaces, tables).
+    A point held by more than one subdomain is an overlap point."""
+    pts = _collocation_in_domain(decomposition.domain, points)
     n_points = len(pts)
     n_sub = decomposition.n_subdomains
     hard = problem.constraint.kind == "hard"
 
-    interior_mask = np.zeros(n_points, dtype=bool)
-    overlap_mask = np.zeros(n_points, dtype=bool)
-    for j in range(n_sub):
-        interior_mask[colloc.interior[j]] = True
-        overlap_mask[colloc.overlap[j]] = True
-
     # per subdomain (row ids, row windows, member window derivatives)
     rows = window_table(decomposition, pts)
+    empty = [j for j, (ids, _, _) in enumerate(rows, start=1) if not len(ids)]
+    if empty:
+        raise ValueError(f"subdomains {empty} hold no collocation point")
+    holders = np.bincount(np.concatenate([ids for ids, _, _ in rows]),
+                          minlength=n_points)
+    interior_mask, overlap_mask = holders == 1, holders > 1
     if hard:
         cons_all = np.asarray(problem.constraint.multiplier(pts), dtype=float)
         dcons_all = np.asarray(problem.constraint.multiplier_prime(pts), dtype=float)
@@ -247,13 +244,10 @@ def _workspaces(problem, decomposition, points):
         sd = decomposition.subdomains[j - 1]
         n_own = len(dwin)
         ids = row_ids[:n_own]
-        assert np.array_equal(ids, colloc.members[j - 1])
         row_x = row_x_all[row_ids]
         x = row_x[:n_own]
         win = row_win[:n_own]
         x_hat, scale = _norm_inputs(sd.left, sd.right, row_x)
-        ovl = np.zeros(n_own, dtype=bool)
-        ovl[np.searchsorted(ids, colloc.overlap[j - 1])] = True
         cons = cons_all[ids] if hard else None
         dcons = dcons_all[ids] if hard else None
         rhs = np.asarray(problem.rhs(x), dtype=float)
@@ -261,7 +255,7 @@ def _workspaces(problem, decomposition, points):
             rhs = np.concatenate([rhs, bc_targets[row_ids[n_own:] - n_points]])
         workspaces.append(SubdomainWorkspace(
             index=j, row_ids=row_ids, row_x=row_x, input_scale=scale,
-            row_win=row_win, dwin=dwin, overlap_mask=ovl,
+            row_win=row_win, dwin=dwin, overlap_mask=overlap_mask[ids],
             row_owned=owner[row_ids] == j, cons=cons, dcons=dcons, rhs=rhs,
             dr_du=dcons * win + cons * dwin if hard else dwin,
             dr_ddu=cons * (win * scale) if hard else win * scale,
@@ -534,7 +528,8 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
     """Run `rounds` schedule-driven rounds, recording the stale-cache loss
     split and the relative L2 error on a dense grid every record_interval
     optimizer steps (and at the final step). On numerical failure the
-    partial report is attached to the raised error.
+    partial report is attached to the raised error; a final loss or L2
+    that is not finite fails at the final step.
 
     The initial and final losses are the loss split against state.cache,
     which must be fresh when train is called: create_state,
@@ -554,8 +549,10 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
     """`steps` optimizer steps, recorded and reported as train describes:
     whole rounds of schedule, or with schedule None steps of a _lone_state's
     network, which has no rounds and no cache to refresh; its records' round
-    is then the number of steps taken before. A failure's step is numbered
-    as the records are, from step_offset."""
+    is then the number of steps taken before, and its final loss and L2
+    are returned unchecked (a blown-up coarse phase fails at the local
+    phase's first step). A failure's step is numbered as the records are,
+    from step_offset."""
     for name, value in (("steps", steps), ("record_interval", record_interval)):
         if not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
@@ -599,13 +596,18 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
             for _ in range(steps // state.communication_interval):
                 _train_round(state, schedule_active_set(schedule, state.round),
                              on_step, memo)
+        final_loss = _checked_loss(state, state.cache, memo)
+        if schedule is not None and not np.isfinite([final_loss.total, final["l2"]]).all():
+            raise NumericalFailureError(
+                f"non-finite final loss {final_loss.total!r} or relative L2 "
+                f"error {final['l2']!r}")
     except NumericalFailureError as err:
         report.wall_time_s += time.perf_counter() - started
-        err.step += step_offset
+        err.step = (err.step if err.step is not None else state.step) + step_offset
         err.report = report
         raise
     report.wall_time_s += time.perf_counter() - started
-    report.final_loss = _checked_loss(state, state.cache, memo)
+    report.final_loss = final_loss
     report.final_l2, report.solution_pred = final["l2"], final["pred"]
     report.solution_x, report.solution_exact = grid.x, exact
     if grid.coarse_value is not None:

@@ -131,6 +131,34 @@ def test_numerical_failure_exits_3_with_location(tmp_path, capsys):
     assert (out / "summary.json").exists()
 
 
+OVERFLOW = {"decomposition": {"subdomains": 4},
+            "training": {"steps": 1, "record_interval": 10,
+                         "collocation_points": 200, "learning_rate": 1e200}}
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds {name}")
+
+
+def test_final_loss_overflow_exits_3_with_strict_json(tmp_path, capsys):
+    # the residuals stay finite (about 1e200) but their mean square overflows
+    cfg = write_config(tmp_path, **OVERFLOW)
+    out = tmp_path / "blowup"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: numerical failure (step 1): non-finite "
+                                       "final loss inf or relative L2 error inf\n")
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["results"]["final_loss"] is None
+    assert summary["results"]["final_l2_error"] is None
+
+    cfg = write_config(tmp_path, "sweep.json", **OVERFLOW,
+                       sweep={"subdomains": [4], "communication_intervals": [1]})
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    _, rows = read_csv(tmp_path / "sweep" / "sweep_summary.csv")
+    assert rows == [["4", "1", "", "", "1", "failed"]]
+
+
 COARSE_BLOWUP = {
     "problem": {"kind": "two_frequency", "omega1": 1.0, "omega2": 3.0},
     "coarse": {"enabled": True, "points": 30, "epochs": 5,

@@ -1,11 +1,17 @@
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from fbpinn import networks, training
-from fbpinn.decomposition import (Interval, build_decomposition,
-                                  empty_subdomains, sample_collocation, window)
+from fbpinn.decomposition import (Interval, TripleOverlapError,
+                                  build_decomposition,
+                                  build_decomposition_from_width,
+                                  classify_points, empty_subdomains,
+                                  sample_collocation, window)
 from fbpinn.networks import NumericalFailureError, eval_batch, loss_gradient
 from fbpinn.problems import SoftConstraint, make_single_frequency, tanh_constraint
 from fbpinn.scheduling import (active_set, alternating_schedule,
@@ -291,6 +297,45 @@ def test_create_state_rejects_subdomains_without_points():
     assert empty and empty_subdomains(dec, pts) == empty
     with pytest.raises(ValueError, match=rf"subdomains \[{', '.join(map(str, empty))}\]"):
         create_state(prob, dec, pts, layer_sizes=[1, 4, 1])
+
+
+MEMBERSHIP_DOM = Interval(-4.0, 4.0)
+
+
+@given(data=st.data(), n_sub=st.integers(1, 9),
+       overlap=st.one_of(st.floats(0.05, 0.95), st.just("2h")),
+       soft=st.lists(st.floats(-4.0, 4.0), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_create_state_tables_agree_with_classify_points(data, n_sub, overlap, soft):
+    # width 2h makes non-adjacent subdomains touch, so a point can be held
+    # three times
+    try:
+        dec = build_decomposition(MEMBERSHIP_DOM, n_sub, overlap) if overlap != "2h" \
+            else build_decomposition_from_width(MEMBERSHIP_DOM, n_sub, 16.0 / n_sub)
+    except TripleOverlapError:
+        reject()
+    edges = [e for sd in dec.subdomains for e in (sd.left, sd.right)]
+    pts = np.array(data.draw(st.lists(
+        st.one_of(st.floats(-4.0, 4.0), st.sampled_from(edges)), min_size=1, max_size=40)))
+    prob = make_single_frequency(3.0, MEMBERSHIP_DOM)
+    if soft:
+        prob = prob.with_constraint(SoftConstraint(tuple(soft), tuple(0.0 for _ in soft)))
+    empty = empty_subdomains(dec, pts)
+    if empty:
+        with pytest.raises(ValueError, match=rf"^subdomains {re.escape(str(empty))} hold"):
+            create_state(prob, dec, pts, layer_sizes=[1, 2, 1])
+        return
+    sets = classify_points(dec, pts)
+    state = create_state(prob, dec, pts, layer_sizes=[1, 2, 1])
+    interior = np.zeros(len(pts), dtype=bool)
+    overlapping = np.zeros(len(pts), dtype=bool)
+    for j, ws in enumerate(state.workspaces):
+        interior[sets.interior[j]] = True
+        overlapping[sets.overlap[j]] = True
+        assert np.array_equal(ws.point_ids, sets.members[j])
+        assert np.array_equal(ws.overlap_mask, np.isin(ws.point_ids, sets.overlap[j]))
+    assert np.array_equal(state.tables.interior_mask, interior)
+    assert np.array_equal(state.tables.overlap_mask, overlapping)
 
 
 def test_numerical_failure_carries_location_and_report():
