@@ -26,7 +26,9 @@ product's final (rows mod 8) rows, whose path depends on the product's
 size. With the remainder in a last block of at least _BLOCK rows, hidden
 layers of equal width 8 to 32 gave every row the bits of one whole-input
 pass (OpenBLAS 0.3.31 on an AVX-512 Xeon); layers of unequal width, such
-as 23 -> 3, may still differ there in the last bits.
+as 23 -> 3, may still differ there in the last bits. A caller may lend
+eval_values two work arrays for the activations of a one-block input;
+the dense grid lends one pair to all its subdomains' calls.
 """
 
 from __future__ import annotations
@@ -198,17 +200,24 @@ def eval_batch(params, x_hat):
     return u, du
 
 
-def eval_values(params, x_hat):
+def eval_values(params, x_hat, work=None):
     """Network value alone at every normalized input in x_hat: the value
     chain of _forward without the tangent or the tape. An input of fewer
     than 2 * _BLOCK rows runs that chain once, bit for bit; a longer one
     runs it on consecutive blocks of _BLOCK rows, the last block taking
     the remainder, into one output array, so every row's value is that of
-    its block evaluated alone."""
+    its block evaluated alone.
+
+    work, when given, is two flat float64 arrays of at least
+    work_size(params, len(x_hat)) entries each. An input of one block
+    then keeps its activations there in place of new arrays, so a caller
+    that evaluates many inputs in a row allocates them once (the same
+    products, so the same bits); the blocks of a longer input reuse each
+    other's freed arrays without it."""
     x = np.asarray(x_hat, dtype=float).reshape(-1)
     n_blocks = len(x) // _BLOCK
     if n_blocks < 2:
-        return _value_chain(params, x)
+        return _value_chain(params, x, work).copy() if work is not None else _value_chain(params, x)
     out = np.empty(len(x))
     bounds = [k * _BLOCK for k in range(n_blocks)] + [len(x)]
     for lo, hi in zip(bounds, bounds[1:]):
@@ -216,12 +225,23 @@ def eval_values(params, x_hat):
     return out
 
 
-def _value_chain(params, x):
-    a = params.weights[0] * x
+def work_size(params, n_rows):
+    """Entries of each eval_values work array for an input of n_rows: the
+    widest layer times n_rows for an input of one block, else 0."""
+    return n_rows * max(len(W) for W in params.weights) if n_rows < 2 * _BLOCK else 0
+
+
+def _value_chain(params, x, work=None):
+    def layer(W, k):
+        # layer k's activations: in work[k % 2] when given, else new
+        return None if work is None else work[k % 2][:len(W) * len(x)].reshape(len(W), len(x))
+
+    W0 = params.weights[0]
+    a = np.multiply(W0, x, out=layer(W0, 0))
     a += params.biases[0][:, None]
-    for W, b in zip(params.weights[1:], params.biases[1:]):
+    for k, (W, b) in enumerate(zip(params.weights[1:], params.biases[1:]), start=1):
         np.tanh(a, out=a)
-        a = W @ a
+        a = np.matmul(W, a, out=layer(W, k))
         a += b[:, None]
     return a[0]
 

@@ -7,16 +7,22 @@ optimizer steps against its own parameters while all foreign contributions
 at shared points stay frozen in an overlap cache, then the cache is
 refreshed once. Inactive subdomains are never touched, so their parameters
 are bitwise stable across rounds. The frozen coarse network is level 0:
-one workspace with window 1 on the whole domain, a source of every
-subdomain's cache like a neighbor, but never active. The plain PINN and
-the coarse phase train their one network as a one-subdomain state on
-the same step, loss and record code, without rounds or cache refreshes.
+rows with window 1 on the whole domain, a source of every subdomain's
+cache like a neighbor, but never active. The plain PINN and the coarse
+phase train their one network as a one-subdomain state on the same step,
+loss and record code, without rounds or cache refreshes.
+
+Every subdomain's rows sit in one row table, so the per-row work of all
+active networks (residual, loss derivatives, cache contributions, loss
+split) is one pass of whole-array operations. Only the forward and
+backward passes, each network's loss and its optimizer step run per
+network, on that network's contiguous slice of the pass.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +30,7 @@ from .decomposition import (Decomposition, Subdomain, WindowParams,
                             _collocation_in_domain, sample_collocation,
                             window_table)
 from .networks import (NumericalFailureError, _forward, eval_batch,
-                       eval_values, init_params, loss_gradient)
+                       eval_values, init_params, loss_gradient, work_size)
 from .optimizers import make_optimizer
 from .problems import _exact_on_error_grid
 from .scheduling import parallel_schedule, active_set as schedule_active_set
@@ -44,14 +50,14 @@ class LossBreakdown:
 
 @dataclass
 class OverlapCache:
-    """Frozen background per subdomain: the window-weighted sum of its
-    sources' contributions, the level-0 coarse network's at every row when
-    one is present and each neighbor's at the rows they share (zero where
-    no source holds a row). values[j] is aligned with every row of
-    workspace j + 1, dvalues[j] with its member points."""
+    """Frozen background of every row of the row table: the window-weighted
+    sum of its sources' contributions, the level-0 coarse network's at every
+    row when one is present and each neighbor's at the rows they share
+    (zero where no source holds a row). values covers every row, dvalues
+    the collocation rows (zero at the soft boundary rows)."""
 
-    values: list
-    dvalues: list
+    values: np.ndarray
+    dvalues: np.ndarray
     round_refreshed: int
 
 
@@ -83,45 +89,77 @@ class RunReport:
 
 
 @dataclass
-class SubdomainWorkspace:
-    """Static per-subdomain tables. The rows are the member collocation
-    points, then the soft boundary points the subdomain holds (none under a
-    hard constraint). Row id k is collocation point k below the number of
-    collocation points and soft boundary point k - that number above it.
-    point_ids, x and win are the member slices of the row tables; the
-    other arrays without a row_ prefix cover members only."""
+class _RowTable:
+    """Every workspace's rows, one workspace after another in subdomain
+    order: its member collocation points, then the soft boundary points it
+    holds (none under a hard constraint). Row id k is collocation point k
+    below the number of collocation points and soft boundary point k -
+    that number above it. Each network's forward, residual, loss
+    derivatives and cache contributions are rows of these arrays, so all
+    active networks' elementwise work is one pass over their rows."""
 
-    index: int                    # subdomain j; 0 is the coarse network (level 0)
     row_ids: np.ndarray
-    row_x: np.ndarray
-    input_scale: float            # d(x_hat)/dx
-    row_win: np.ndarray
-    dwin: np.ndarray
-    overlap_mask: np.ndarray
-    row_owned: np.ndarray         # this subdomain is the row's lowest-indexed holder
+    x: np.ndarray
+    inputs: np.ndarray            # x_hat: the rows of every local forward
+    scale: np.ndarray             # d(x_hat)/dx
+    win: np.ndarray
+    dwin: np.ndarray              # 0 at boundary rows
+    member: np.ndarray            # a collocation row, not a soft boundary row
+    overlap: np.ndarray           # a collocation row at an overlap point
+    owned: np.ndarray             # the row's workspace is its lowest-indexed holder
+    rhs: np.ndarray               # f at collocation rows, the soft targets at boundary rows
     cons: np.ndarray | None
     dcons: np.ndarray | None
-    rhs: np.ndarray               # every row: f at member points, then the soft targets
-    dr_du: np.ndarray             # d(residual)/du at each member point
-    dr_ddu: np.ndarray            # d(residual)/d(du) at each member point
-    inputs: np.ndarray            # x_hat of every row: the rows of every local forward
-    # (target j, src rows, dst rows, member src rows, member dst rows)
-    outgoing: list = field(default_factory=list)
+    dr_du: np.ndarray             # d(residual)/du at collocation rows
+    dr_ddu: np.ndarray            # d(residual)/d(du) at collocation rows
+    # Neighbor routes as (src rows, dst rows) layers, added in order: a
+    # row's k-th source in ascending subdomain order is in layer k, so no
+    # dst repeats within a layer. member_routes are the collocation rows'.
+    routes: list
+    member_routes: list
+
+
+@dataclass
+class SubdomainWorkspace:
+    """One network's rows, `rows` of its state's row table. Every array is
+    a view into that table, not a copy; point_ids, x and overlap_mask
+    cover the member rows, which come first."""
+
+    index: int                    # subdomain j
+    rows: slice
+    row_ids: np.ndarray
+    row_x: np.ndarray
+    inputs: np.ndarray
+    row_owned: np.ndarray
+    overlap_mask: np.ndarray
 
     def __post_init__(self):
-        n = len(self.dwin)
-        self.point_ids, self.x, self.win = self.row_ids[:n], self.row_x[:n], self.row_win[:n]
+        n = len(self.overlap_mask)
+        self.point_ids, self.x = self.row_ids[:n], self.row_x[:n]
 
 
 @dataclass
 class _ForwardMemo:
-    """Forwards shared within one _train() call. local[j] is network j's
-    (u, du, tape) on its workspace inputs at its current parameters and is
-    dropped when network j's optimizer steps. local[0] is the frozen
-    coarse network's (u, du, None) on the level-0 rows: it never steps, so
-    its tape is not kept."""
+    """What one _train() call, or one public call that trains or evaluates,
+    computes once and shares. u and du hold each row's network value and
+    input derivative, those of network j's rows being its current ones
+    while tapes holds j: the tape of that forward (None when keep_tapes is
+    off, as in a memo that only evaluates), dropped when network j's
+    optimizer steps. background is the frozen level-0 coarse network's
+    share of every cache (_level0_background), when there is one.
+    active[order] holds _active_rows for the networks in order."""
 
-    local: dict = field(default_factory=dict)
+    u: np.ndarray
+    du: np.ndarray
+    keep_tapes: bool = True
+    tapes: dict = field(default_factory=dict)
+    background: tuple | None = None
+    active: dict = field(default_factory=dict)
+
+
+def _memo(state, keep_tapes=True, background=None):
+    n_rows = len(state.rows.x)
+    return _ForwardMemo(np.empty(n_rows), np.empty(n_rows), keep_tapes, background=background)
 
 
 @dataclass
@@ -145,9 +183,10 @@ class FbpinnState:
     round: int
     step: int
     workspaces: list
+    rows: _RowTable
     tables: _GlobalTables
     cache: OverlapCache | None
-    coarse_workspace: SubdomainWorkspace | None = None   # level 0
+    coarse_rows: _RowTable | None = None   # level 0: row k is row id k
 
     @property
     def n_subdomains(self):
@@ -180,35 +219,37 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         raise ValueError("problem and decomposition domains differ")
     if not isinstance(communication_interval, (int, np.integer)) or communication_interval < 1:
         raise ValueError(f"communication_interval must be >= 1, got {communication_interval!r}")
-    workspaces, tables = _workspaces(problem, decomposition, points)
+    workspaces, rows, tables = _workspaces(problem, decomposition, points)
     n_sub = decomposition.n_subdomains
     params = [init_params(layer_sizes, master_seed + j) for j in range(1, n_sub + 1)]
     optimizers = [make_optimizer(optimizer, learning_rate) for _ in range(n_sub)]
-    coarse_params = coarse_optimizer = coarse_workspace = None
+    coarse_params = coarse_optimizer = coarse_rows = None
     if coarse_layer_sizes is not None:
         coarse_params = init_params(coarse_layer_sizes, master_seed)
         coarse_optimizer = make_optimizer(optimizer, learning_rate)
-        coarse_workspace = _level0(problem, workspaces, tables)
+        # a _lone_state's rows on the collocation points: every collocation
+        # point, then every soft boundary point, so row k is row id k
+        coarse_rows = _lone_state(problem, tables.x, None, None).rows
 
     state = FbpinnState(
         problem=problem, decomposition=decomposition,
         params=params, coarse_params=coarse_params,
         optimizers=optimizers, coarse_optimizer=coarse_optimizer,
         communication_interval=int(communication_interval), round=0, step=0,
-        workspaces=workspaces, tables=tables, cache=None,
-        coarse_workspace=coarse_workspace,
+        workspaces=workspaces, rows=rows, tables=tables, cache=None,
+        coarse_rows=coarse_rows,
     )
     state.cache = refresh_overlap_cache(state)
     return state
 
 
 def _workspaces(problem, decomposition, points):
-    """Build every subdomain's workspace and the global tables from one
-    window_table pass over the collocation points: (workspaces, tables).
-    A point held by more than one subdomain is an overlap point."""
+    """Build the row table, every subdomain's workspace (views into it) and
+    the global tables from one window_table pass over the collocation
+    points: (workspaces, rows, tables). A point held by more than one
+    subdomain is an overlap point."""
     pts = _collocation_in_domain(decomposition.domain, points)
     n_points = len(pts)
-    n_sub = decomposition.n_subdomains
     hard = problem.constraint.kind == "hard"
 
     # per subdomain (row ids, row windows, member window derivatives)
@@ -220,8 +261,6 @@ def _workspaces(problem, decomposition, points):
                           minlength=n_points)
     interior_mask, overlap_mask = holders == 1, holders > 1
     if hard:
-        cons_all = np.asarray(problem.constraint.multiplier(pts), dtype=float)
-        dcons_all = np.asarray(problem.constraint.multiplier_prime(pts), dtype=float)
         bc_x = np.zeros(0)
         bc_weight = 0.0
     else:
@@ -234,113 +273,194 @@ def _workspaces(problem, decomposition, points):
         rows = [(np.concatenate([ids, n_points + bids]), np.concatenate([win, bwin]), dwin)
                 for (ids, win, dwin), (bids, bwin, _) in
                 zip(rows, window_table(decomposition, bc_x))]
-    row_x_all = np.concatenate([pts, bc_x])
-    owner = np.zeros(len(row_x_all), dtype=int)
-    for j in range(n_sub, 0, -1):
-        owner[rows[j - 1][0]] = j
+    bounds = np.cumsum([0] + [len(ids) for ids, _, _ in rows])
+    row_ids = np.concatenate([ids for ids, _, _ in rows])
+    member = row_ids < n_points
+    x = np.concatenate([pts, bc_x])[row_ids]
+    # workspaces follow in ascending order: a row id's first row is its
+    # lowest-indexed holder's
+    owned = np.zeros(len(x), dtype=bool)
+    owned[np.unique(row_ids, return_index=True)[1]] = True
+    win = np.concatenate([w for _, w, _ in rows])
+    dwin = np.zeros(len(x))
+    dwin[member] = np.concatenate([dw for _, _, dw in rows])
+    inputs, scale, rhs = np.empty(len(x)), np.empty(len(x)), np.empty(len(x))
+    for sd, (_, _, dw), lo, hi in zip(decomposition.subdomains, rows, bounds, bounds[1:]):
+        inputs[lo:hi], scale[lo:hi] = _norm_inputs(sd.left, sd.right, x[lo:hi])
+        rhs[lo:lo + len(dw)] = problem.rhs(x[lo:lo + len(dw)])
+    if hard:
+        cons = np.asarray(problem.constraint.multiplier(pts), dtype=float)[row_ids]
+        dcons = np.asarray(problem.constraint.multiplier_prime(pts), dtype=float)[row_ids]
+        dr_du, dr_ddu = dcons * win + cons * dwin, cons * (win * scale)
+    else:
+        cons = dcons = None
+        rhs[~member] = bc_targets[row_ids[~member] - n_points]
+        dr_du, dr_ddu = dwin, win * scale
 
-    workspaces = []
-    for j, (row_ids, row_win, dwin) in enumerate(rows, start=1):
-        sd = decomposition.subdomains[j - 1]
-        n_own = len(dwin)
-        ids = row_ids[:n_own]
-        row_x = row_x_all[row_ids]
-        x = row_x[:n_own]
-        win = row_win[:n_own]
-        x_hat, scale = _norm_inputs(sd.left, sd.right, row_x)
-        cons = cons_all[ids] if hard else None
-        dcons = dcons_all[ids] if hard else None
-        rhs = np.asarray(problem.rhs(x), dtype=float)
-        if not hard:
-            rhs = np.concatenate([rhs, bc_targets[row_ids[n_own:] - n_points]])
-        workspaces.append(SubdomainWorkspace(
-            index=j, row_ids=row_ids, row_x=row_x, input_scale=scale,
-            row_win=row_win, dwin=dwin, overlap_mask=overlap_mask[ids],
-            row_owned=owner[row_ids] == j, cons=cons, dcons=dcons, rhs=rhs,
-            dr_du=dcons * win + cons * dwin if hard else dwin,
-            dr_ddu=cons * (win * scale) if hard else win * scale,
-            inputs=x_hat,
-        ))
-
-    # Neighbor routes over all rows; member rows sort first, as row ids do.
-    for ws in workspaces:
-        sd = decomposition.subdomains[ws.index - 1]
+    # Neighbor routes, appended by ascending source, so a stable sort by
+    # destination keeps each row's sources in ascending order.
+    src, dst = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for j, sd in enumerate(decomposition.subdomains):
         for l in sorted(sd.neighbor_indices):
-            other = workspaces[l - 1]
-            common, src, dst = np.intersect1d(ws.row_ids, other.row_ids,
-                                              assume_unique=True, return_indices=True)
-            m = common.searchsorted(n_points)
-            ws.outgoing.append((l, src, dst, src[:m], dst[:m]))
-    return workspaces, _GlobalTables(pts, interior_mask, overlap_mask, len(bc_x), bc_weight)
+            _, s, d = np.intersect1d(row_ids[bounds[j]:bounds[j + 1]],
+                                     row_ids[bounds[l - 1]:bounds[l]],
+                                     assume_unique=True, return_indices=True)
+            src.append(bounds[j] + s)
+            dst.append(bounds[l - 1] + d)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    by_dst = np.argsort(dst, kind="stable")
+    src, dst = src[by_dst], dst[by_dst]
+    rank = np.arange(len(dst)) - np.searchsorted(dst, dst)
+    routes, member_routes = [], []
+    for k in range(rank.max(initial=-1) + 1):
+        s, d = src[rank == k], dst[rank == k]
+        first = np.argsort(~member[d], kind="stable")   # collocation rows first
+        s, d = s[first], d[first]
+        m = np.count_nonzero(member[d])
+        routes.append((s, d))
+        member_routes.append((s[:m], d[:m]))
+
+    t = _RowTable(
+        row_ids=row_ids, x=x, inputs=inputs, scale=scale, win=win, dwin=dwin,
+        member=member, overlap=np.append(overlap_mask, np.zeros(len(bc_x), dtype=bool))[row_ids],
+        owned=owned, rhs=rhs, cons=cons, dcons=dcons, dr_du=dr_du, dr_ddu=dr_ddu, routes=routes,
+        member_routes=member_routes)
+    workspaces = [
+        SubdomainWorkspace(j, slice(lo, hi), t.row_ids[lo:hi], t.x[lo:hi], t.inputs[lo:hi],
+                           t.owned[lo:hi], t.overlap[lo:lo + len(dw)])
+        for j, ((_, _, dw), lo, hi) in enumerate(zip(rows, bounds, bounds[1:]), start=1)]
+    return workspaces, t, _GlobalTables(pts, interior_mask, overlap_mask, len(bc_x), bc_weight)
 
 
-def _level0(problem, workspaces, tables):
-    """The coarse network's workspace, index 0: a _lone_state's on the
-    collocation points, whose rows are every collocation point and then
-    every soft boundary point, so row k is row id k. It routes every row
-    of each subdomain's workspace to that workspace's cache."""
-    ws = _lone_state(problem, tables.x, None, None).workspaces[0]
-    return replace(ws, index=0, outgoing=[
-        (w.index, w.row_ids, slice(None), w.point_ids, slice(None)) for w in workspaces])
+def _forwards(state, order, memo):
+    """Bring the memo's rows of every network in order up to date: one
+    tangent forward of each network whose parameters moved since its last."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in order:
+            if j not in memo.tapes:
+                ws = state.workspaces[j - 1]
+                u, du, tape = _forward(state.params[j - 1], ws.inputs)
+                memo.u[ws.rows], memo.du[ws.rows] = u, du
+                memo.tapes[j] = tape if memo.keep_tapes else None
 
 
-def _local_values(params, ws, memo=None):
-    """Network ws.index's value and input derivative at every row of ws:
-    one tangent forward of params on ws.inputs, taken from the memo while
-    the parameters are unchanged."""
-    forward = memo.local.get(ws.index) if memo is not None else None
-    if forward is None:
-        forward = _forward(params, ws.inputs)
-        if memo is not None:
-            memo.local[ws.index] = forward if ws.index else (*forward[:2], None)
-    return forward[0], forward[1]
+def _dvalue(t, rows, u, du):
+    """d/dx of each row's window-weighted network output at rows of t,
+    dwin u + win (scale du), from the network's (u, du) there."""
+    dvalue = t.scale[rows] * du
+    dvalue *= t.win[rows]
+    dvalue += t.dwin[rows] * u
+    return dvalue
+
+
+def _level0_background(state):
+    """The frozen coarse network's share of every cache, or None without
+    one: its value at every row of the row table and its derivative at the
+    collocation rows, each added to zero."""
+    if state.coarse_params is None:
+        return None
+    t, level0 = state.rows, state.coarse_rows
+    values, dvalues = np.zeros(len(t.x)), np.zeros(len(t.x))
+    with np.errstate(invalid="ignore", over="ignore"):
+        u, du, _ = _forward(state.coarse_params, level0.inputs)
+        values += (level0.win * u)[t.row_ids]
+        dvalues[t.member] += _dvalue(level0, slice(None), u, du)[t.row_ids[t.member]]
+    return values, dvalues
 
 
 def refresh_overlap_cache(state, memo=None):
     """Recompute every subdomain's frozen background from current parameters:
-    one pass over the sources, the level-0 coarse network first when one is
-    present and then the subdomains in ascending order, each adding its
-    window-weighted contribution at the rows it routes to a target."""
-    values = [np.zeros(len(ws.row_x)) for ws in state.workspaces]
-    dvalues = [np.zeros(len(ws.x)) for ws in state.workspaces]
-    sources = list(zip(state.params, state.workspaces))
-    if state.coarse_params is not None:
-        sources.insert(0, (state.coarse_params, state.coarse_workspace))
+    the level-0 coarse network's share (the memo's, when it holds one),
+    then one contribution pass over every row and each route layer's
+    scatter, so each row sums its sources in ascending order."""
+    t = state.rows
+    memo = memo if memo is not None else _memo(state, keep_tapes=False)
+    background = memo.background if memo.background is not None else _level0_background(state)
+    if background is None:
+        values, dvalues = np.zeros(len(t.x)), np.zeros(len(t.x))
+    else:
+        values, dvalues = background[0].copy(), background[1].copy()
+    _forwards(state, range(1, state.n_subdomains + 1), memo)
     with np.errstate(invalid="ignore", over="ignore"):
-        for params, ws in sources:
-            if not ws.outgoing:
-                continue
-            u, du = _local_values(params, ws, memo)
-            contrib = ws.row_win * u
-            dcontrib = _local_dvalue(ws, u, du)
-            for target, src, dst, member_src, member_dst in ws.outgoing:
-                values[target - 1][dst] += contrib[src]
-                dvalues[target - 1][member_dst] += dcontrib[member_src]
+        contrib = t.win * memo.u
+        for src, dst in t.routes:
+            values[dst] += contrib[src]
+        contrib = _dvalue(t, slice(None), memo.u, memo.du)
+        for src, dst in t.member_routes:
+            dvalues[dst] += contrib[src]
     return OverlapCache(values, dvalues, state.round)
 
 
-def _local_dvalue(ws, u, du):
-    """d/dx of network ws.index's window-weighted output at ws's member
-    points, from its (u, du) at every row."""
-    n_own = len(ws.x)
-    return ws.dwin * u[:n_own] + ws.win * (ws.input_scale * du[:n_own])
-
-
-def _residual(ws, u, du, bg, dbg):
-    """Constrained residual at every row of ws from network ws.index's
-    (u, du) there plus the frozen background (bg at every row, dbg at the
-    member points): c'v + cv' - f under a hard constraint; v' - f at the
-    member points and v - target at the boundary rows under a soft one."""
-    dvalue = _local_dvalue(ws, u, du) + dbg
-    if ws.cons is not None:
-        return ws.dcons * (ws.win * u + bg) + ws.cons * dvalue - ws.rhs
-    n_own = len(ws.x)
-    return np.concatenate([dvalue, ws.row_win[n_own:] * u[n_own:] + bg[n_own:]]) - ws.rhs
+def _residual(t, rows, u, du, cache):
+    """Constrained residual at rows of the row table t (a slice or an index)
+    from each row's network (u, du) there plus the frozen background in
+    cache: c'v + cv' - f under a hard constraint; v' - f at the collocation
+    rows and v - target at the boundary rows under a soft one."""
+    value = t.win[rows] * u
+    value += cache.values[rows]
+    dvalue = _dvalue(t, rows, u, du)
+    dvalue += cache.dvalues[rows]
+    if t.cons is not None:
+        value *= t.dcons[rows]
+        dvalue *= t.cons[rows]
+        value += dvalue
+    else:
+        np.copyto(value, dvalue, where=t.member[rows])
+    value -= t.rhs[rows]
+    return value
 
 
 def _penalty(tables, err):
     """Soft boundary penalty of the errors err at boundary rows."""
     return tables.bc_weight * (err @ err) / tables.n_bc
+
+
+def _active_rows(state, order, memo=None):
+    """The rows of the networks in order, one network after another: a slice
+    of the row table when they are consecutive, as parallel and alternating
+    sets are, else an index, kept in the memo for the rest of the _train()
+    call; and each network's (start, end of members, end) within them."""
+    found = memo.active.get(order) if memo is not None else None
+    if found is None:
+        wss = [state.workspaces[j - 1] for j in order]
+        if all(a.rows.stop == b.rows.start for a, b in zip(wss, wss[1:])):
+            rows = slice(wss[0].rows.start, wss[-1].rows.stop)
+        else:
+            rows = np.concatenate([np.arange(ws.rows.start, ws.rows.stop) for ws in wss])
+        ends = np.cumsum([0] + [len(ws.row_ids) for ws in wss])
+        found = rows, [(lo, lo + len(ws.x), hi) for ws, lo, hi in zip(wss, ends, ends[1:])]
+        if memo is not None:
+            memo.active[order] = found
+    return found
+
+
+def _loss_terms(state, rows, spans, cache, u, du):
+    """Each network's (loss, dloss/du, dloss/d(du)) against cache, given
+    _active_rows' rows and spans and the networks' (u, du) at those rows:
+    one residual and loss-derivative pass over all the rows, then each
+    network's slice. A network's loss is its squared member residuals,
+    scaled by the global point count, plus the penalty of its soft
+    boundary rows."""
+    t, tables = state.rows, state.tables
+    n = len(tables.x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = _residual(t, rows, u, du, cache)
+        losses = []
+        for lo, mid, hi in spans:
+            rm = r[lo:mid]
+            loss = (rm @ rm) / n
+            if mid < hi:
+                loss = loss + _penalty(tables, r[mid:hi])
+            losses.append(loss)
+        if tables.n_bc:
+            bc = ~t.member[rows]
+            gu_bc = (2.0 * tables.bc_weight / tables.n_bc) * r[bc] * t.win[rows][bc]
+        gu = np.multiply(r, 2.0 / n, out=r)         # the residual's last use
+        gd = gu * t.dr_ddu[rows]
+        gu *= t.dr_du[rows]
+        if tables.n_bc:
+            gu[bc], gd[bc] = gu_bc, 0.0
+    return [(loss, gu[lo:hi], gd[lo:hi]) for loss, (lo, _, hi) in zip(losses, spans)]
 
 
 def _loss_split(state, cache, memo=None):
@@ -350,13 +470,13 @@ def _loss_split(state, cache, memo=None):
     residual at every collocation point."""
     t = state.tables
     n = len(t.x)
-    by_row = np.zeros(n + t.n_bc)
+    memo = memo if memo is not None else _memo(state, keep_tapes=False)
+    _forwards(state, range(1, state.n_subdomains + 1), memo)
     with np.errstate(invalid="ignore", over="ignore"):
-        for ws in state.workspaces:
-            j = ws.index - 1
-            u, du = _local_values(state.params[j], ws, memo)
-            res = _residual(ws, u, du, cache.values[j], cache.dvalues[j])
-            by_row[ws.row_ids[ws.row_owned]] = res[ws.row_owned]
+        res = _residual(state.rows, slice(None), memo.u, memo.du, cache)
+        by_row = np.zeros(n + t.n_bc)
+        owned = state.rows.owned
+        by_row[state.rows.row_ids[owned]] = res[owned]
         r, err = by_row[:n], by_row[n:]
         boundary = float(_penalty(t, err)) if t.n_bc else 0.0
         squared = r * r
@@ -391,54 +511,35 @@ def global_loss(state):
     into interior and overlap parts (plus the soft boundary penalty). The
     split runs against a cache refreshed from the current parameters, so
     it is the true global loss whatever state.cache holds."""
-    memo = _ForwardMemo()
+    memo = _memo(state, keep_tapes=False)
     return _checked_loss(state, refresh_overlap_cache(state, memo), memo)
-
-
-def _make_local_loss_fn(state, j, cache):
-    """Closure for loss_gradient: live network j against the frozen cache.
-    Returns (batch inputs, loss_fn)."""
-    ws = state.workspaces[j - 1]
-    t = state.tables
-    n = len(t.x)
-    n_own = len(ws.x)
-    bg, dbg = cache.values[j - 1], cache.dvalues[j - 1]
-    bc_win = ws.row_win[n_own:]
-
-    def loss_fn(u_all, du_all):
-        r = _residual(ws, u_all, du_all, bg, dbg)
-        rm = r[:n_own]
-        loss = (rm @ rm) / n
-        ru = (2.0 / n) * rm
-        gu = ru * ws.dr_du
-        gd = ru * ws.dr_ddu
-        if len(bc_win):
-            err = r[n_own:]
-            loss = loss + _penalty(t, err)
-            gu = np.concatenate([gu, (2.0 * t.bc_weight / t.n_bc) * err * bc_win])
-            gd = np.concatenate([gd, np.zeros(len(err))])
-        return loss, gu, gd
-
-    return ws.inputs, loss_fn
 
 
 def local_loss(state, j, cache=None):
     """Subdomain j's training loss: squared residuals over its member points,
     scaled by the global point count, plus the penalty of its soft boundary
     rows, with foreign contributions taken from the cache."""
-    inputs, loss_fn = _make_local_loss_fn(state, j, cache if cache is not None else state.cache)
     with np.errstate(invalid="ignore", over="ignore"):
-        return float(loss_fn(*eval_batch(state.params[j - 1], inputs))[0])
+        u, du = eval_batch(state.params[j - 1], state.workspaces[j - 1].inputs)
+    (loss, _, _), = _loss_terms(state, *_active_rows(state, (j,)),
+                                cache if cache is not None else state.cache, u, du)
+    return float(loss)
 
 
 def _step(state, order, memo):
-    """One optimizer step of each network in order against state.cache."""
+    """One optimizer step of each network in order against state.cache: one
+    loss-term pass over all their rows, then each network's gradient from
+    its slice and its optimizer step."""
     state.step += 1
-    for j in order:
-        inputs, loss_fn = _make_local_loss_fn(state, j, state.cache)
-        forward = memo.local.pop(j, None) if memo is not None else None
+    _forwards(state, order, memo)
+    rows, spans = _active_rows(state, order, memo)
+    terms = _loss_terms(state, rows, spans, state.cache, memo.u[rows], memo.du[rows])
+    for j, term in zip(order, terms):
+        ws = state.workspaces[j - 1]
+        forward = memo.u[ws.rows], memo.du[ws.rows], memo.tapes.pop(j)
         try:
-            _, grad = loss_gradient(state.params[j - 1], inputs, loss_fn, forward)
+            _, grad = loss_gradient(state.params[j - 1], ws.inputs,
+                                    lambda u, du, term=term: term, forward)
         except NumericalFailureError as err:
             err.subdomain = j
             err.step = state.step
@@ -446,11 +547,11 @@ def _step(state, order, memo):
         state.optimizers[j - 1].step(state.params[j - 1], grad)
 
 
-def _train_round(state, active, on_step, memo=None):
+def _train_round(state, active, on_step, memo):
     for j in active.active:
         if not 1 <= j <= state.n_subdomains:
             raise ValueError(f"active subdomain {j} out of range")
-    order = sorted(active.active)
+    order = tuple(sorted(active.active))
     for _ in range(state.communication_interval):
         _step(state, order, memo)
         on_step()
@@ -462,7 +563,7 @@ def _train_round(state, active, on_step, memo=None):
 def train_round(state, active):
     """One round: p optimizer steps for each active subdomain against the
     frozen cache, then a single cache refresh."""
-    return _train_round(state, active, lambda: None)
+    return _train_round(state, active, lambda: None, _memo(state))
 
 
 @dataclass
@@ -478,9 +579,8 @@ class _EvalGrid:
 def _make_eval_grid(state, x):
     hard = state.problem.constraint.kind == "hard"
     entries = []
-    for ws, (idx, win, _) in zip(state.workspaces,
+    for sd, (idx, win, _) in zip(state.decomposition.subdomains,
                                  window_table(state.decomposition, x)):
-        sd = state.decomposition.subdomains[ws.index - 1]
         x_hat, _ = _norm_inputs(sd.left, sd.right, x[idx])
         entries.append((idx, win, x_hat))
     coarse_value = None
@@ -502,8 +602,14 @@ def _grid_solution(state, grid):
     value = np.zeros(len(grid.x))
     if grid.coarse_value is not None:
         value += grid.coarse_value
+    # One pair of activation arrays for every subdomain's pass: allocating
+    # and freeing a pair per subdomain let glibc trim and regrow the heap,
+    # about 90 page faults each time.
+    size = max(work_size(params, len(x_hat))
+               for params, (_, _, x_hat) in zip(state.params, grid.entries))
+    work = np.empty(size), np.empty(size)
     for params, (idx, win, x_hat) in zip(state.params, grid.entries):
-        value[idx] += win * eval_values(params, x_hat)
+        value[idx] += win * eval_values(params, x_hat, work)
     return _constrained(grid, value)
 
 
@@ -545,14 +651,14 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
 
 
 def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
-           report=None, phase="fbpinn", step_offset=0):
+           report=None, phase="fbpinn", step_offset=0, check_final=True):
     """`steps` optimizer steps, recorded and reported as train describes:
     whole rounds of schedule, or with schedule None steps of a _lone_state's
     network, which has no rounds and no cache to refresh; its records' round
-    is then the number of steps taken before, and its final loss and L2
-    are returned unchecked (a blown-up coarse phase fails at the local
-    phase's first step). A failure's step is numbered as the records are,
-    from step_offset."""
+    is then the number of steps taken before. With check_final False the
+    final loss and L2 are returned unchecked (the coarse phase's: a blown-up
+    coarse phase fails at the local phase's first step). A failure's step
+    is numbered as the records are, from step_offset."""
     for name, value in (("steps", steps), ("record_interval", record_interval)):
         if not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
@@ -564,8 +670,9 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
     started = time.perf_counter()
     # Each network's tangent forward is computed at most once per parameter
     # version and shared by the loss splits, the cache refresh and the next
-    # step's gradient.
-    memo = _ForwardMemo()
+    # step's gradient. The level-0 background comes first: its forward,
+    # run after the local ones, would sit on top of their tapes.
+    memo = _memo(state, background=_level0_background(state))
     if report.initial_loss is None:
         report.initial_loss = _checked_loss(state, state.cache, memo).total
     final_step = state.step + steps
@@ -597,7 +704,7 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
                 _train_round(state, schedule_active_set(schedule, state.round),
                              on_step, memo)
         final_loss = _checked_loss(state, state.cache, memo)
-        if schedule is not None and not np.isfinite([final_loss.total, final["l2"]]).all():
+        if check_final and not np.isfinite([final_loss.total, final["l2"]]).all():
             raise NumericalFailureError(
                 f"non-finite final loss {final_loss.total!r} or relative L2 "
                 f"error {final['l2']!r}")
@@ -625,14 +732,13 @@ def _lone_state(problem, points, params, optimizer):
     decomposition = Decomposition(
         dom, (Subdomain(1, dom.a, dom.b, frozenset()),),
         (WindowParams(None, None),), None)
-    workspaces, tables = _workspaces(problem, decomposition, points)
-    ws = workspaces[0]
+    workspaces, rows, tables = _workspaces(problem, decomposition, points)
     return FbpinnState(
         problem=problem, decomposition=decomposition, params=[params],
         coarse_params=None, optimizers=[optimizer], coarse_optimizer=None,
         communication_interval=1, round=0, step=0,
-        workspaces=workspaces, tables=tables,
-        cache=OverlapCache([np.zeros(len(ws.row_x))], [np.zeros(len(ws.x))], 0))
+        workspaces=workspaces, rows=rows, tables=tables,
+        cache=OverlapCache(np.zeros(len(rows.x)), np.zeros(len(rows.x)), 0))
 
 
 def train_pinn(problem, points, *, layer_sizes, steps, optimizer="adam",
@@ -640,7 +746,8 @@ def train_pinn(problem, points, *, layer_sizes, steps, optimizer="adam",
     """Single-network baseline on the full domain, normalized to [-1, 1]:
     a one-subdomain state with window 1, trained and recorded by the same
     step, loss and record code as train. The points must lie in the
-    problem's domain."""
+    problem's domain. As in train, a final loss or L2 that is not finite
+    raises NumericalFailureError at the final step."""
     state = _lone_state(problem, points, init_params(layer_sizes, seed),
                         make_optimizer(optimizer, learning_rate))
     return _train(state, None, steps, record_interval=record_interval,
@@ -668,7 +775,7 @@ def train_coarse_then_local(state, coarse_epochs, coarse_points, local_rounds,
             _train(lone, None, int(coarse_epochs), record_interval=record_interval,
                    l2_points=l2_points if l2_points is not None
                    else 10 * len(state.tables.x),
-                   report=report, phase="coarse")
+                   report=report, phase="coarse", check_final=False)
         except NumericalFailureError as err:
             err.subdomain = "coarse"
             raise

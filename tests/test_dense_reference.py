@@ -172,7 +172,6 @@ def test_decomposed_path_matches_the_dense_reference(setup):
 
     train(state, setup["schedule"], setup["rounds"], record_interval=2)
     fresh = refresh_overlap_cache(state)
-    for got, want in zip(state.cache.values + state.cache.dvalues,
-                         fresh.values + fresh.dvalues):
-        assert np.array_equal(got, want)
+    assert np.array_equal(state.cache.values, fresh.values)
+    assert np.array_equal(state.cache.dvalues, fresh.dvalues)
     check_against_dense(state, xs)

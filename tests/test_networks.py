@@ -396,3 +396,10 @@ def test_blocked_eval_values(sizes, n):
     for lo, hi in zip(bounds, bounds[1:]):
         assert np.array_equal(values[lo:hi], eval_values(p, x[lo:hi]))
         assert np.array_equal(values[lo:hi], eval_batch(p, x[lo:hi])[0])
+    # work arrays, reused from call to call, change no bit, and a result
+    # does not alias them
+    size = max(networks.work_size(p, n), networks.work_size(p, n // 2))
+    work = np.full(size + 3, np.nan), np.full(size + 3, np.nan)
+    half = eval_values(p, x[:n // 2], work)
+    assert np.array_equal(eval_values(p, x, work), values)
+    assert np.array_equal(half, eval_values(p, x[:n // 2]))

@@ -22,6 +22,7 @@ from fbpinn.training import (create_state, global_loss, local_loss,
                              train_coarse_then_local, train_pinn, train_round,
                              _stale_breakdown, RunReport)
 
+import per_network_reference as per_network
 from plain_pinn import train_plain
 
 DOM = Interval(-2 * np.pi, 2 * np.pi)
@@ -123,25 +124,25 @@ def test_loss_split_identity():
 
 def test_cache_background_zero_without_neighbors():
     state = small_state(n_sub=1, n_pts=30)
-    assert np.all(state.cache.values[0] == 0.0)
-    assert np.all(state.cache.dvalues[0] == 0.0)
+    assert np.all(state.cache.values == 0.0)
+    assert np.all(state.cache.dvalues == 0.0)
 
 
 def test_cache_holds_neighbor_weighted_sum():
     state = small_state(n_sub=2, n_pts=60, seed=5)
     ws = state.workspaces[0]
-    cache = state.cache
+    values, dvalues = state.cache.values[ws.rows], state.cache.dvalues[ws.rows]
     for pos, x in enumerate(ws.x):
         w2, dw2 = window(state.decomposition, 2, x)
         if w2 == 0.0:
-            assert cache.values[0][pos] == 0.0
-            assert cache.dvalues[0][pos] == 0.0
+            assert values[pos] == 0.0
+            assert dvalues[pos] == 0.0
             continue
         sd = state.decomposition.subdomains[1]
         c, hw = sd.center, 0.5 * sd.width
         u, du = eval_batch(state.params[1], [(x - c) / hw])
-        assert cache.values[0][pos] == pytest.approx(w2 * u[0], rel=1e-13)
-        assert cache.dvalues[0][pos] == pytest.approx(
+        assert values[pos] == pytest.approx(w2 * u[0], rel=1e-13)
+        assert dvalues[pos] == pytest.approx(
             dw2 * u[0] + w2 * du[0] / hw, rel=1e-12, abs=1e-13)
 
 
@@ -173,8 +174,8 @@ def test_local_loss_manual_two_subdomains():
     for pos, x in enumerate(ws.x):
         w1, dw1 = window(state.decomposition, 1, x)
         u, du = eval_batch(state.params[0], [(x - c) / hw])
-        v = w1 * u[0] + state.cache.values[0][pos]
-        dv = dw1 * u[0] + w1 * du[0] / hw + state.cache.dvalues[0][pos]
+        v = w1 * u[0] + state.cache.values[ws.rows][pos]
+        dv = dw1 * u[0] + w1 * du[0] / hw + state.cache.dvalues[ws.rows][pos]
         cm = float(prob.constraint.multiplier(x))
         dcm = float(prob.constraint.multiplier_prime(x))
         r = dcm * v + cm * dv - float(prob.rhs(x))
@@ -184,13 +185,17 @@ def test_local_loss_manual_two_subdomains():
 
 @pytest.mark.parametrize("kind", ["hard", "soft", "soft-multi", "coarse"])
 def test_local_gradient_matches_finite_differences(kind):
-    # the closure's d(residual)/du and d(residual)/d(du) against central
-    # differences of local_loss in every parameter of network 2
+    # network 2's slice of the loss-term pass, its d(loss)/du and
+    # d(loss)/d(du), against central differences of local_loss in every
+    # parameter of network 2
     make = {"hard": small_state, "soft": soft_state,
             "soft-multi": soft_multi_state, "coarse": coarse_state}[kind]
     state = make(n_sub=3, n_pts=40, seed=4)
-    inputs, loss_fn = training._make_local_loss_fn(state, 2, state.cache)
-    loss, grad = loss_gradient(state.params[1], inputs, loss_fn)
+    inputs = state.workspaces[1].inputs
+    u, du = eval_batch(state.params[1], inputs)
+    (terms,) = training._loss_terms(state, *training._active_rows(state, (2,)),
+                                    state.cache, u, du)
+    loss, grad = loss_gradient(state.params[1], inputs, lambda u, du: terms)
     assert loss == pytest.approx(local_loss(state, 2), rel=1e-13)
     h = 1e-6
     for a, g in zip(state.params[1].arrays(), grad.arrays()):
@@ -404,6 +409,20 @@ def test_train_pinn_rejects_a_bad_record_interval(record_interval):
                    steps=4, record_interval=record_interval)
 
 
+def test_train_pinn_final_loss_overflow_raises():
+    # one step at learning rate 1e200 leaves finite residuals whose mean
+    # square overflows; the final check fails at the final step, as train's
+    # does, with the report attached
+    prob = make_single_frequency(15.0, DOM)
+    with pytest.raises(NumericalFailureError,
+                       match=r"^non-finite final loss inf or relative L2 error inf$") as exc:
+        train_pinn(prob, sample_collocation(DOM, 200), layer_sizes=[1, 8, 1], steps=1,
+                   learning_rate=1e200, seed=1)
+    assert exc.value.step == 1 and exc.value.subdomain is None
+    assert isinstance(exc.value.report, RunReport)
+    assert exc.value.report.final_loss is None
+
+
 def test_train_pinn_rejects_points_outside_the_domain():
     prob = make_single_frequency(2.0, DOM)
     pts = np.append(sample_collocation(DOM, 30), DOM.b + 1.0)
@@ -512,7 +531,8 @@ def test_coarse_network_contributes_to_evaluation():
     interior = ~ws.overlap_mask
     c, hw = state.coarse_norm
     ug, _ = eval_batch(state.coarse_params, (ws.x[interior] - c) / hw)
-    np.testing.assert_allclose(state.cache.values[0][interior], ug, rtol=1e-13)
+    members = state.cache.values[ws.rows][:len(ws.x)]
+    np.testing.assert_allclose(members[interior], ug, rtol=1e-13)
 
 
 def test_coarse_split_identity_and_coherence():
@@ -676,8 +696,8 @@ def test_train_pinn_final_loss_and_l2_equal_a_fresh_evaluation(monkeypatch):
 
 
 def _same_cache(a, b):
-    pairs = list(zip(a.values, b.values)) + list(zip(a.dvalues, b.dvalues))
-    assert all(np.array_equal(x, y) for x, y in pairs)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.dvalues, b.dvalues)
 
 
 @pytest.mark.parametrize("p", [1, 3])
@@ -698,9 +718,51 @@ def test_cache_after_train_matches_fresh_refresh(kind, p, constraint):
     _same_cache(state.cache, refresh_overlap_cache(state))
 
 
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("coarse", [False, True], ids=["local", "coarse"])
+@pytest.mark.parametrize("kind", ["parallel", "alternating", "colored", "parallel-2h"])
+@pytest.mark.parametrize("constraint", ["hard", "soft"])
+def test_row_pass_matches_the_per_network_reference(constraint, kind, coarse, p):
+    # one residual, loss-derivative and contribution pass over every active
+    # network's rows takes the per-network loop's steps bit for bit:
+    # parameters, caches, each network's loss and the loss split after a
+    # few rounds. Width 2h
+    # with points on every subdomain edge holds some points three times,
+    # so a row gets two neighbours' contributions.
+    if kind == "parallel-2h":
+        dec = build_decomposition_from_width(DOM, 4, DOM.width / 2)
+        edges = [e for sd in dec.subdomains for e in (sd.left, sd.right)]
+        pts = np.unique(np.append(sample_collocation(DOM, 60), edges))
+    else:
+        dec = build_decomposition(DOM, 4, 0.7)
+        pts = sample_collocation(DOM, 60)
+
+    def make():
+        return create_state(_plain_problem(constraint), dec, pts, layer_sizes=[1, 6, 1],
+                            master_seed=5, communication_interval=p,
+                            coarse_layer_sizes=[1, 6, 1] if coarse else None)
+
+    sched = {"parallel": parallel_schedule(4), "parallel-2h": parallel_schedule(4),
+             "alternating": alternating_schedule(4),
+             "colored": colored_schedule(4, [[1, 3], [2, 4]])}[kind]
+    state, twin = make(), make()
+    assert len(state.rows.routes) == (2 if kind == "parallel-2h" else 1)
+    train(state, sched, 5, record_interval=2, l2_points=50)
+    workspaces, cache = per_network.train_reference(twin, sched, 5)
+    assert same_params(snapshot(twin.params), state.params)
+    for ws, ref, values, dvalues in zip(state.workspaces, workspaces, *cache):
+        assert np.array_equal(ws.row_ids, ref.row_ids)
+        assert np.array_equal(state.cache.values[ws.rows], values)
+        assert np.array_equal(state.cache.dvalues[ws.rows][:len(dvalues)], dvalues)
+    assert not state.cache.dvalues[~state.rows.member].any()
+    for j in range(1, 5):
+        assert local_loss(state, j) == per_network.local_loss(twin, workspaces, cache, j)
+    assert _stale_breakdown(state) == per_network.loss_split(twin, workspaces, cache)
+
+
 def test_cache_after_coarse_run_matches_fresh_refresh():
     # the level-0 forward is reused for the whole local phase; each refresh
-    # accumulates its contribution into fresh zeros, never into the memo
+    # starts from a copy of the level-0 background, never from the memo's
     state = coarse_state(seed=4, n_sub=4)
     train_coarse_then_local(state, coarse_epochs=5, coarse_points=40,
                             local_rounds=4, record_interval=2, l2_points=50)
@@ -749,8 +811,7 @@ def test_one_coarse_forward_per_train_call_on_every_level0_row(monkeypatch, cons
         state = create_state(
             state.problem.with_constraint(MULTI), state.decomposition, state.tables.x,
             layer_sizes=[1, 6, 1], master_seed=6, coarse_layer_sizes=[1, 6, 1])
-    level0 = state.coarse_workspace
-    assert level0.index == 0
+    level0 = state.coarse_rows
     assert np.array_equal(level0.row_ids, np.arange(len(state.tables.x) + state.tables.n_bc))
     coarse_inputs = []
     real_forward = networks._forward
@@ -768,12 +829,12 @@ def test_one_coarse_forward_per_train_call_on_every_level0_row(monkeypatch, cons
 
     # a row no neighbor holds gets 0 + u: the coarse value bit for bit
     u, _, _ = real_forward(state.coarse_params, level0.inputs)
-    for ws, values in zip(state.workspaces, state.cache.values):
-        alone = np.ones(len(ws.row_ids), dtype=bool)
-        for _, src, _, _, _ in ws.outgoing:
-            alone[src] = False
-        assert alone.any()
-        assert np.array_equal(values[alone], u[ws.row_ids[alone]])
+    alone = np.ones(len(state.rows.x), dtype=bool)
+    for _, dst in state.rows.routes:
+        alone[dst] = False
+    for ws in state.workspaces:
+        assert alone[ws.rows].any()
+    assert np.array_equal(state.cache.values[alone], u[state.rows.row_ids[alone]])
 
 
 @pytest.mark.parametrize("kind", ["parallel", "alternating"])
@@ -787,9 +848,9 @@ def test_one_tangent_forward_per_parameter_version(monkeypatch, kind):
         tangent.append((j, b"".join(a.tobytes() for a in params.arrays())))
         return real_forward(params, x_hat)
 
-    def counting_values(params, x_hat):
+    def counting_values(params, x_hat, *work):
         values.append(len(x_hat))
-        return real_values(params, x_hat)
+        return real_values(params, x_hat, *work)
 
     for module in (networks, training):
         monkeypatch.setattr(module, "_forward", counting_forward)
