@@ -220,6 +220,9 @@ def validate_config(cfg):
         _require(isinstance(vals, (list, tuple)) and len(vals) >= 1
                  and all(_is_int(v) and v >= 1 for v in vals),
                  f"{name} must be a non-empty list of integers >= 1")
+        # a repeated value would train and write the same cell twice
+        repeated = sorted({v for v in vals if vals.count(v) > 1})
+        _require(not repeated, f"{name} repeats {repeated}; each value must appear once")
 
     _require(isinstance(cfg.output_dir, str) and cfg.output_dir,
              "output_dir must be a non-empty string")

@@ -108,37 +108,35 @@ class Decomposition:
         }
 
 
-def _ramp(t):
-    t = np.asarray(t, dtype=float)
-    mid = (1.0 - np.cos(np.pi * np.clip(t, 0.0, 1.0))) / 2.0
-    return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, mid))
-
-
-def _dramp(t):
-    t = np.asarray(t, dtype=float)
+def _ramp(t, width):
+    """The cosine ramp at t (0 up to t = 0, 1 from t = 1 on) and its slope
+    over width, computed in t's buffer and one new array. Only the points
+    strictly inside the ramp take a cosine and a sine."""
+    low, high = t <= 0.0, t >= 1.0
     inside = (t > 0.0) & (t < 1.0)
-    return np.where(inside, 0.5 * np.pi * np.sin(np.pi * np.clip(t, 0.0, 1.0)), 0.0)
+    t *= np.pi
+    slope = np.zeros_like(t)
+    np.sin(t, out=slope, where=inside)
+    slope *= 0.5 * np.pi
+    slope /= width
+    np.cos(t, out=t, where=inside)
+    np.subtract(1.0, t, out=t, where=inside)
+    np.divide(t, 2.0, out=t, where=inside)
+    np.copyto(t, 0.0, where=low)
+    np.copyto(t, 1.0, where=high)
+    return t, slope
 
 
-def _raw_window(wp, x):
-    """Unnormalized window and derivative; assumes x inside the subdomain."""
-    x = np.asarray(x, dtype=float)
-    val = np.ones_like(x)
-    dval = np.zeros_like(x)
-    if wp.up is not None:
-        s, e = wp.up
-        t = (x - s) / (e - s)
-        u = _ramp(t)
-        du = _dramp(t) / (e - s)
-        val, dval = u, du
-    if wp.down is not None:
-        s, e = wp.down
-        t = (e - x) / (e - s)
-        d = _ramp(t)
-        dd = -_dramp(t) / (e - s)
-        dval = dval * d + val * dd
-        val = val * d
-    return val, dval
+def _ramp_bounds(decomposition):
+    """Every subdomain's (up start, up width, down end, down width) as four
+    arrays. A subdomain without a ramp has start -inf (end +inf) and width
+    1, which puts t at +inf, where the ramp is exactly 1 and its slope 0."""
+    wps = decomposition.window_params
+    up = [(-np.inf, 1.0) if wp.up is None else (wp.up[0], wp.up[1] - wp.up[0])
+          for wp in wps]
+    down = [(np.inf, 1.0) if wp.down is None else (wp.down[1], wp.down[1] - wp.down[0])
+            for wp in wps]
+    return (*np.array(up).T, *np.array(down).T)
 
 
 def build_decomposition(domain, n_subdomains, overlap_fraction):
@@ -177,14 +175,18 @@ def build_decomposition_from_width(domain, n_subdomains, width, overlap_fraction
     rights = np.minimum(centers + width / 2.0, domain.b)
     delta = width - h
 
+    # Lefts and rights never decrease, so subdomains i < j overlap when
+    # lefts[j] < rights[i], and i overlaps some j > i + 1 only if it
+    # overlaps i + 2: comparing each with the next two finds every pair.
+    skip = np.nonzero(lefts[2:] < rights[:-2])[0]
+    if len(skip):
+        i = int(skip[0])
+        raise TripleOverlapError(
+            f"subdomains {i + 1} and {i + 3} overlap; chain structure broken")
     neighbor_sets = [set() for _ in range(n)]
-    overlaps = np.maximum.outer(lefts, lefts) < np.minimum.outer(rights, rights)
-    for i, j in np.argwhere(np.triu(overlaps, k=1)).tolist():
-        if j - i > 1:
-            raise TripleOverlapError(
-                f"subdomains {i + 1} and {j + 1} overlap; chain structure broken")
-        neighbor_sets[i].add(j + 1)
-        neighbor_sets[j].add(i + 1)
+    for i in np.nonzero(lefts[1:] < rights[:-1])[0].tolist():
+        neighbor_sets[i].add(i + 2)
+        neighbor_sets[i + 1].add(i + 1)
 
     subdomains = tuple(
         Subdomain(i + 1, float(lefts[i]), float(rights[i]), frozenset(neighbor_sets[i]))
@@ -199,54 +201,102 @@ def build_decomposition_from_width(domain, n_subdomains, width, overlap_fraction
 
 
 def window(decomposition, j, x):
-    """Normalized window value and derivative of subdomain j at scalar x.
-
-    Exactly (0, 0) outside the closed subdomain.
-    """
+    """Normalized window value and derivative of subdomain j at scalar x:
+    x's row of window_table. Exactly (0, 0) outside the closed subdomain."""
     sd = decomposition.subdomain(j)
     x = float(x)
     if not sd.contains(x):
         return 0.0, 0.0
-    total = 0.0
-    dtotal = 0.0
-    raw = draw = 0.0
-    for other, wp in zip(decomposition.subdomains, decomposition.window_params):
-        if not other.contains(x):
-            continue
-        v, dv = _raw_window(wp, x)
-        v, dv = float(v), float(dv)
-        total += v
-        dtotal += dv
-        if other.index == j:
-            raw, draw = v, dv
-    return raw / total, (draw * total - raw * dtotal) / (total * total)
+    _, win, dwin = window_table(decomposition, [x])[j - 1]
+    return float(win[0]), float(dwin[0])
+
+
+@dataclass(frozen=True)
+class WindowTable:
+    """Window rows of a point set, one subdomain after another: rows
+    bounds[k]:bounds[k + 1] hold subdomain k+1's member positions ids, in
+    ascending order, and their window values win and derivatives dwin.
+    Item k is subdomain k+1's (ids, win, dwin), as views."""
+
+    bounds: np.ndarray
+    ids: np.ndarray
+    win: np.ndarray
+    dwin: np.ndarray
+
+    def __len__(self):
+        return len(self.bounds) - 1
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        lo, hi = self.bounds[k], self.bounds[k + 1]
+        return self.ids[lo:hi], self.win[lo:hi], self.dwin[lo:hi]
 
 
 def window_table(decomposition, points):
-    """Per-subdomain (member positions, window values, window derivatives)
-    for a batch of points inside the domain."""
+    """The WindowTable of a batch of points inside the domain. Memberships
+    come from one stable sort of the points and a searchsorted of the
+    subdomain bounds; ramps, derivatives and the normalization run over all
+    rows at once, and each point's raw windows are summed in row order,
+    which is ascending subdomain order. Each intermediate array is deleted
+    once spent: on a 30,000-point grid the pass then peaks below the
+    per-subdomain loop it replaced."""
     pts = np.asarray(points, dtype=float)
-    total = np.zeros_like(pts)
-    dtotal = np.zeros_like(pts)
-    raws = []
-    for sd, wp in zip(decomposition.subdomains, decomposition.window_params):
-        idx = np.nonzero((pts >= sd.left) & (pts <= sd.right))[0]
-        v, dv = _raw_window(wp, pts[idx])
-        raws.append((idx, v, dv))
-        total[idx] += v
-        dtotal[idx] += dv
+    subs = decomposition.subdomains
+    order = np.argsort(pts, kind="stable")
+    by_x = pts[order]
+    lo = np.searchsorted(by_x, [sd.left for sd in subs], "left")
+    counts = np.searchsorted(by_x, [sd.right for sd in subs], "right") - lo
+    del by_x
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    # subdomain k+1 holds the sorted positions lo[k]:lo[k] + counts[k];
+    # sorting (subdomain, point) keys puts its members in point order
+    ids = np.repeat(lo - bounds[:-1], counts)
+    ids += np.arange(bounds[-1])
+    ids = order[ids]
+    del order
+    key = np.repeat(np.arange(len(subs)) * len(pts), counts)
+    ids += key
+    ids.sort(kind="stable")
+    ids -= key
+    del key
     covered = np.zeros(len(pts), dtype=bool)
-    for idx, _, _ in raws:
-        covered[idx] = True
+    covered[ids] = True
     if not covered.all():
         i = int(np.argmin(covered))
         raise ValueError(f"point {pts[i]!r} lies outside every subdomain")
-    out = []
-    for idx, v, dv in raws:
-        s = total[idx]
-        ds = dtotal[idx]
-        out.append((idx, v / s, (dv * s - v * ds) / (s * s)))
-    return out
+    del covered
+
+    # raw windows: rising ramp times falling ramp, (u d, du d + u dd)
+    up_start, up_width, down_end, down_width = _ramp_bounds(decomposition)
+    x = pts[ids]
+    t = x - np.repeat(up_start, counts)
+    width = np.repeat(up_width, counts)
+    t /= width
+    win, dwin = _ramp(t, width)
+    np.subtract(np.repeat(down_end, counts), x, out=x)
+    width = np.repeat(down_width, counts)
+    x /= width
+    d, dd = _ramp(x, width)
+    del x, width
+    np.negative(dd, out=dd)
+    dwin *= d
+    dd *= win
+    dwin += dd
+    win *= d
+    del d, dd
+
+    # normalized: v / s and (dv s - v ds) / s^2, s each point's sum
+    total, dtotal = np.zeros(len(pts)), np.zeros(len(pts))
+    np.add.at(total, ids, win)
+    np.add.at(dtotal, ids, dwin)
+    total, dtotal = total[ids], dtotal[ids]
+    dtotal *= win
+    dwin *= total
+    dwin -= dtotal
+    win /= total
+    total *= total
+    dwin /= total
+    return WindowTable(bounds, ids, win, dwin)
 
 
 def sample_collocation(domain, n_points):

@@ -61,12 +61,15 @@ class _FlatLayers:
 
     def __init__(self, weights, biases):
         arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
-        layout, start = [], 0
-        for a in arrays:
-            layout.append((start, start + a.size, a.shape))
-            start += a.size
-        self._attach(np.concatenate([a.ravel() for a in arrays]), tuple(layout),
-                     len(weights))
+        self._attach(np.concatenate([a.ravel() for a in arrays]),
+                     _layout([a.shape for a in arrays]), len(weights))
+
+    @classmethod
+    def _wrap(cls, flat, layout, n_weights):
+        """An instance over flat as it is, laid out by layout, no copy."""
+        obj = cls.__new__(cls)
+        obj._attach(flat, layout, n_weights)
+        return obj
 
     def _attach(self, flat, layout, n_weights):
         # layout: (start, stop, shape) of each array within flat
@@ -76,6 +79,17 @@ class _FlatLayers:
 
     def arrays(self):
         return self.weights + self.biases
+
+
+def _layout(shapes):
+    """(start, stop, shape) of each of shapes, one after another in a flat
+    vector."""
+    layout, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        layout.append((start, stop, tuple(shape)))
+        start = stop
+    return tuple(layout)
 
 
 class MlpParams(_FlatLayers):
@@ -100,10 +114,7 @@ class ParamGradient(_FlatLayers):
     @classmethod
     def empty_like(cls, params):
         """Uninitialised gradient laid out like params, for _backward to fill."""
-        grad = cls.__new__(cls)
-        grad._attach(np.empty_like(params.flat), params._layout,
-                     len(params.weights))
-        return grad
+        return cls._wrap(np.empty_like(params.flat), params._layout, len(params.weights))
 
 
 def init_params(layer_sizes, seed):
@@ -116,13 +127,16 @@ def init_params(layer_sizes, seed):
             raise ValueError(f"layer sizes must be positive integers, got {s!r}")
     if sizes[0] != 1 or sizes[-1] != 1:
         raise ValueError(f"input and output dimension must be 1, got {sizes}")
+    fans = list(zip(sizes[:-1], sizes[1:]))
+    layout = _layout([(fan_out, fan_in) for fan_in, fan_out in fans]
+                     + [(fan_out,) for _, fan_out in fans])
+    flat = np.zeros(layout[-1][1])
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    # each layer's weights drawn straight into the flat vector, in order
+    for (start, stop, _), (fan_in, fan_out) in zip(layout, fans):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases)
+        flat[start:stop] = rng.uniform(-bound, bound, size=stop - start)
+    return MlpParams._wrap(flat, layout, len(fans))
 
 
 def _forward(params, x_hat):

@@ -7,8 +7,8 @@ optimizer steps against its own parameters while all foreign contributions
 at shared points stay frozen in an overlap cache, then the cache is
 refreshed once. Inactive subdomains are never touched, so their parameters
 are bitwise stable across rounds. The frozen coarse network is level 0:
-rows with window 1 on the whole domain, a source of every subdomain's
-cache like a neighbor, but never active. The plain PINN and the coarse
+window 1 on the whole domain, a source of every subdomain's cache like a
+neighbor, but never active. The plain PINN and the coarse
 phase train their one network as a one-subdomain state on the same step,
 loss and record code, without rounds or cache refreshes.
 
@@ -186,7 +186,6 @@ class FbpinnState:
     rows: _RowTable
     tables: _GlobalTables
     cache: OverlapCache | None
-    coarse_rows: _RowTable | None = None   # level 0: row k is row id k
 
     @property
     def n_subdomains(self):
@@ -198,10 +197,17 @@ class FbpinnState:
         return self.problem.domain.midpoint, 0.5 * self.problem.domain.width
 
 
-def _norm_inputs(left, right, x):
-    center = 0.5 * (left + right)
-    halfwidth = 0.5 * (right - left)
-    return (np.asarray(x, dtype=float) - center) / halfwidth, 1.0 / halfwidth
+def _norm_inputs(decomposition, bounds, x):
+    """Network inputs x_hat and d(x_hat)/dx at rows x, rows
+    bounds[k]:bounds[k + 1] in subdomain k+1: each subdomain's interval
+    mapped onto [-1, 1], over all rows at once."""
+    lefts = np.array([sd.left for sd in decomposition.subdomains])
+    rights = np.array([sd.right for sd in decomposition.subdomains])
+    counts = np.diff(bounds)
+    halfwidth = np.repeat(0.5 * (rights - lefts), counts)
+    inputs = x - np.repeat(0.5 * (lefts + rights), counts)
+    inputs /= halfwidth
+    return inputs, 1.0 / halfwidth
 
 
 def create_state(problem, decomposition, points, *, layer_sizes,
@@ -223,13 +229,10 @@ def create_state(problem, decomposition, points, *, layer_sizes,
     n_sub = decomposition.n_subdomains
     params = [init_params(layer_sizes, master_seed + j) for j in range(1, n_sub + 1)]
     optimizers = [make_optimizer(optimizer, learning_rate) for _ in range(n_sub)]
-    coarse_params = coarse_optimizer = coarse_rows = None
+    coarse_params = coarse_optimizer = None
     if coarse_layer_sizes is not None:
         coarse_params = init_params(coarse_layer_sizes, master_seed)
         coarse_optimizer = make_optimizer(optimizer, learning_rate)
-        # a _lone_state's rows on the collocation points: every collocation
-        # point, then every soft boundary point, so row k is row id k
-        coarse_rows = _lone_state(problem, tables.x, None, None).rows
 
     state = FbpinnState(
         problem=problem, decomposition=decomposition,
@@ -237,7 +240,6 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         optimizers=optimizers, coarse_optimizer=coarse_optimizer,
         communication_interval=int(communication_interval), round=0, step=0,
         workspaces=workspaces, rows=rows, tables=tables, cache=None,
-        coarse_rows=coarse_rows,
     )
     state.cache = refresh_overlap_cache(state)
     return state
@@ -246,23 +248,13 @@ def create_state(problem, decomposition, points, *, layer_sizes,
 def _workspaces(problem, decomposition, points):
     """Build the row table, every subdomain's workspace (views into it) and
     the global tables from one window_table pass over the collocation
-    points: (workspaces, rows, tables). A point held by more than one
-    subdomain is an overlap point."""
+    points, then the soft boundary points: (workspaces, rows, tables). A
+    point held by more than one subdomain is an overlap point."""
     pts = _collocation_in_domain(decomposition.domain, points)
     n_points = len(pts)
     hard = problem.constraint.kind == "hard"
-
-    # per subdomain (row ids, row windows, member window derivatives)
-    rows = window_table(decomposition, pts)
-    empty = [j for j, (ids, _, _) in enumerate(rows, start=1) if not len(ids)]
-    if empty:
-        raise ValueError(f"subdomains {empty} hold no collocation point")
-    holders = np.bincount(np.concatenate([ids for ids, _, _ in rows]),
-                          minlength=n_points)
-    interior_mask, overlap_mask = holders == 1, holders > 1
     if hard:
-        bc_x = np.zeros(0)
-        bc_weight = 0.0
+        bc_x, bc_targets, bc_weight = np.zeros(0), np.zeros(0), 0.0
     else:
         bc_x = np.asarray(problem.constraint.points, dtype=float)
         bc_targets = np.asarray(problem.constraint.targets, dtype=float)
@@ -270,55 +262,52 @@ def _workspaces(problem, decomposition, points):
         for xb in bc_x:
             if not problem.domain.contains(xb):
                 raise ValueError(f"soft boundary point {xb!r} outside the domain")
-        rows = [(np.concatenate([ids, n_points + bids]), np.concatenate([win, bwin]), dwin)
-                for (ids, win, dwin), (bids, bwin, _) in
-                zip(rows, window_table(decomposition, bc_x))]
-    bounds = np.cumsum([0] + [len(ids) for ids, _, _ in rows])
-    row_ids = np.concatenate([ids for ids, _, _ in rows])
+
+    # Row id k is point k of all_x, so each workspace's rows, in ascending
+    # row id, are its member collocation points, then its boundary points.
+    all_x = np.concatenate([pts, bc_x])
+    table = window_table(decomposition, all_x)
+    bounds, row_ids, win, dwin = table.bounds, table.ids, table.win, table.dwin
     member = row_ids < n_points
-    x = np.concatenate([pts, bc_x])[row_ids]
-    # workspaces follow in ascending order: a row id's first row is its
-    # lowest-indexed holder's
-    owned = np.zeros(len(x), dtype=bool)
-    owned[np.unique(row_ids, return_index=True)[1]] = True
-    win = np.concatenate([w for _, w, _ in rows])
-    dwin = np.zeros(len(x))
-    dwin[member] = np.concatenate([dw for _, _, dw in rows])
-    inputs, scale, rhs = np.empty(len(x)), np.empty(len(x)), np.empty(len(x))
-    for sd, (_, _, dw), lo, hi in zip(decomposition.subdomains, rows, bounds, bounds[1:]):
-        inputs[lo:hi], scale[lo:hi] = _norm_inputs(sd.left, sd.right, x[lo:hi])
-        rhs[lo:lo + len(dw)] = problem.rhs(x[lo:lo + len(dw)])
+    # each workspace's member rows come first: bounds[k]:members_end[k]
+    held = np.concatenate([[0], np.cumsum(member)])
+    members_end = bounds[:-1] + held[bounds[1:]] - held[bounds[:-1]]
+    empty = [int(j) + 1 for j in np.nonzero(members_end == bounds[:-1])[0]]
+    if empty:
+        raise ValueError(f"subdomains {empty} hold no collocation point")
+    holders = np.bincount(row_ids, minlength=len(all_x))
+    interior_mask, overlap_mask = holders[:n_points] == 1, holders[:n_points] > 1
+    x = all_x[row_ids]
+    dwin[~member] = 0.0
+    inputs, scale = _norm_inputs(decomposition, bounds, x)
+    rhs = np.concatenate([np.asarray(problem.rhs(pts), dtype=float), bc_targets])[row_ids]
     if hard:
         cons = np.asarray(problem.constraint.multiplier(pts), dtype=float)[row_ids]
         dcons = np.asarray(problem.constraint.multiplier_prime(pts), dtype=float)[row_ids]
         dr_du, dr_ddu = dcons * win + cons * dwin, cons * (win * scale)
     else:
         cons = dcons = None
-        rhs[~member] = bc_targets[row_ids[~member] - n_points]
         dr_du, dr_ddu = dwin, win * scale
 
-    # Neighbor routes, appended by ascending source, so a stable sort by
-    # destination keeps each row's sources in ascending order.
-    src, dst = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for j, sd in enumerate(decomposition.subdomains):
-        for l in sorted(sd.neighbor_indices):
-            _, s, d = np.intersect1d(row_ids[bounds[j]:bounds[j + 1]],
-                                     row_ids[bounds[l - 1]:bounds[l]],
-                                     assume_unique=True, return_indices=True)
-            src.append(bounds[j] + s)
-            dst.append(bounds[l - 1] + d)
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    by_dst = np.argsort(dst, kind="stable")
-    src, dst = src[by_dst], dst[by_dst]
-    rank = np.arange(len(dst)) - np.searchsorted(dst, dst)
+    # One stable sort by row id puts each point's holders together, in
+    # ascending subdomain order. A row's k-th other holder is its layer-k
+    # source, so no row is a destination twice within a layer, and each
+    # layer lists its collocation rows first.
+    by_id = np.argsort(row_ids, kind="stable")
+    sorted_ids = row_ids[by_id]
+    first = np.searchsorted(sorted_ids, sorted_ids, "left")
+    n_holders = np.searchsorted(sorted_ids, sorted_ids, "right") - first
+    rank = np.arange(len(by_id)) - first
+    owned = np.zeros(len(x), dtype=bool)
+    owned[by_id[rank == 0]] = True
     routes, member_routes = [], []
-    for k in range(rank.max(initial=-1) + 1):
-        s, d = src[rank == k], dst[rank == k]
-        first = np.argsort(~member[d], kind="stable")   # collocation rows first
-        s, d = s[first], d[first]
-        m = np.count_nonzero(member[d])
-        routes.append((s, d))
-        member_routes.append((s[:m], d[:m]))
+    for k in range(n_holders.max(initial=1) - 1):
+        has = n_holders > k + 1
+        dst = by_id[has]
+        src = by_id[(first + k + (rank <= k))[has]]
+        m = np.count_nonzero(member[dst])
+        routes.append((src, dst))
+        member_routes.append((src[:m], dst[:m]))
 
     t = _RowTable(
         row_ids=row_ids, x=x, inputs=inputs, scale=scale, win=win, dwin=dwin,
@@ -327,8 +316,8 @@ def _workspaces(problem, decomposition, points):
         member_routes=member_routes)
     workspaces = [
         SubdomainWorkspace(j, slice(lo, hi), t.row_ids[lo:hi], t.x[lo:hi], t.inputs[lo:hi],
-                           t.owned[lo:hi], t.overlap[lo:lo + len(dw)])
-        for j, ((_, _, dw), lo, hi) in enumerate(zip(rows, bounds, bounds[1:]), start=1)]
+                           t.owned[lo:hi], t.overlap[lo:mid])
+        for j, (lo, mid, hi) in enumerate(zip(bounds, members_end, bounds[1:]), start=1)]
     return workspaces, t, _GlobalTables(pts, interior_mask, overlap_mask, len(bc_x), bc_weight)
 
 
@@ -356,15 +345,21 @@ def _dvalue(t, rows, u, du):
 def _level0_background(state):
     """The frozen coarse network's share of every cache, or None without
     one: its value at every row of the row table and its derivative at the
-    collocation rows, each added to zero."""
+    collocation rows, each added to zero. Its inputs are every collocation
+    point, then every soft boundary point, normalized by coarse_norm, so
+    row id k is its input k."""
     if state.coarse_params is None:
         return None
-    t, level0 = state.rows, state.coarse_rows
+    t = state.rows
+    x = np.empty(len(state.tables.x) + state.tables.n_bc)
+    x[t.row_ids] = t.x
+    center, halfwidth = state.coarse_norm
     values, dvalues = np.zeros(len(t.x)), np.zeros(len(t.x))
     with np.errstate(invalid="ignore", over="ignore"):
-        u, du, _ = _forward(state.coarse_params, level0.inputs)
-        values += (level0.win * u)[t.row_ids]
-        dvalues[t.member] += _dvalue(level0, slice(None), u, du)[t.row_ids[t.member]]
+        u, du, _ = _forward(state.coarse_params, (x - center) / halfwidth)
+        values += u[t.row_ids]
+        du *= 1.0 / halfwidth
+        dvalues[t.member] += du[t.row_ids[t.member]]
     return values, dvalues
 
 
@@ -572,17 +567,28 @@ class _EvalGrid:
 
     x: np.ndarray
     cons: np.ndarray | None
-    entries: list          # per subdomain (idx, win, x_hat)
+    entries: list          # per subdomain (rows of x, win, x_hat)
     coarse_value: np.ndarray | None   # the coarse network is frozen in _train()
+
+
+def _grid_shares(decomposition, x):
+    """Each subdomain's (rows of x, win, x_hat) for value-only evaluation.
+    Its rows are a slice when its points are consecutive, as they are on a
+    sorted grid, else an index. The window table's other arrays are freed
+    on return, before the grid's first evaluation."""
+    table = window_table(decomposition, x)
+    inputs, _ = _norm_inputs(decomposition, table.bounds, x[table.ids])
+    shares = []
+    for (ids, win, _), lo, hi in zip(table, table.bounds, table.bounds[1:]):
+        consecutive = len(ids) and ids[-1] - ids[0] == len(ids) - 1
+        shares.append((slice(ids[0], ids[-1] + 1) if consecutive else ids, win,
+                       inputs[lo:hi]))
+    return shares
 
 
 def _make_eval_grid(state, x):
     hard = state.problem.constraint.kind == "hard"
-    entries = []
-    for sd, (idx, win, _) in zip(state.decomposition.subdomains,
-                                 window_table(state.decomposition, x)):
-        x_hat, _ = _norm_inputs(sd.left, sd.right, x[idx])
-        entries.append((idx, win, x_hat))
+    entries = _grid_shares(state.decomposition, x)
     coarse_value = None
     if state.coarse_params is not None:
         center, halfwidth = state.coarse_norm
@@ -608,8 +614,8 @@ def _grid_solution(state, grid):
     size = max(work_size(params, len(x_hat))
                for params, (_, _, x_hat) in zip(state.params, grid.entries))
     work = np.empty(size), np.empty(size)
-    for params, (idx, win, x_hat) in zip(state.params, grid.entries):
-        value[idx] += win * eval_values(params, x_hat, work)
+    for params, (rows, win, x_hat) in zip(state.params, grid.entries):
+        value[rows] += win * eval_values(params, x_hat, work)
     return _constrained(grid, value)
 
 

@@ -4,11 +4,12 @@ The trainer runs the residual, loss derivatives, cache contributions and
 loss split of every active network as one pass over a row table that
 holds all of their rows. This module keeps the earlier per-network form
 of that work as an independent reference: its own workspaces and
-neighbour routes built from window_table, one loss closure per network
+neighbour routes built from the per-subdomain window table of
+window_table_reference, one loss closure per network
 handed to loss_gradient, a cache refresh that loops over the sources
 (the level-0 coarse network first, then the subdomains in ascending
 order) adding each source's contribution route by route, and a loss
-split that loops over the workspaces. It uses only window_table, the
+split that loops over the workspaces. It uses only that window table, the
 networks' forward pass and loss_gradient, and the state's optimizers, so
 the trainer can be checked against it bit for bit.
 """
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fbpinn.decomposition import window_table
+from window_table_reference import window_table
 from fbpinn.networks import eval_batch, loss_gradient
 from fbpinn.scheduling import active_set
 from fbpinn.training import LossBreakdown

@@ -317,6 +317,28 @@ def test_subdomains_without_points_exit_2(tmp_path, capsys, command, patch):
     assert not out.exists()
 
 
+def test_repeated_sweep_values_exit_2(tmp_path, capsys):
+    # [4, 4] x [1, 1] would train one cell four times into one directory
+    cfg = write_config(tmp_path, sweep={"subdomains": [4, 4], "communication_intervals": [1, 1]})
+    out = tmp_path / "never"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+    assert "error: sweep.subdomains repeats [4]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_subdomains_far_above_the_points_exit_2_without_a_pairwise_table(tmp_path, capsys):
+    # 100,000 subdomains: neighbour sets compare each subdomain with the
+    # next two only, so the check for empty subdomains is reached in
+    # linear memory instead of a J x J table
+    cfg = write_config(tmp_path, decomposition={"subdomains": 100_000})
+    out = tmp_path / "never"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: training.collocation_points = 60 leaves subdomains [")
+    assert "of 100000 without a collocation point" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, patch, key", [
     ("run", {"training": {"steps": 3, "communication_interval": 2}},
      "training.steps = 3 must be a multiple of 2 (training.communication_interval)"),
@@ -396,9 +418,10 @@ def tiny_configs(draw):
         "coarse": {"enabled": draw(st.booleans()), "points": draw(st.integers(2, 20)),
                    "epochs": draw(st.integers(0, 3)),
                    "hidden_layers": 1, "hidden_width": 4},
-        "sweep": {"subdomains": draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)),
+        "sweep": {"subdomains": draw(st.lists(st.integers(1, 8), min_size=1, max_size=2,
+                                              unique=True)),
                   "communication_intervals": draw(
-                      st.lists(st.integers(1, 3), min_size=1, max_size=2))},
+                      st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))},
     }
     if kind == "colored":
         data["schedule"]["colors"] = draw(groups)

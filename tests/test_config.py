@@ -93,6 +93,10 @@ def test_non_object_blocks_rejected():
      r"training.steps = 3 must be a multiple of 2 \(training.communication_interval\)"),
     ({"problem": {"domain": [-1e308, 1e308]}},
      "problem.domain width b - a must be finite, got inf"),
+    ({"sweep": {"subdomains": [4, 8, 4]}},
+     r"sweep.subdomains repeats \[4\]; each value must appear once"),
+    ({"sweep": {"communication_intervals": [1, 5, 1, 5, 2]}},
+     r"sweep.communication_intervals repeats \[1, 5\]; each value must appear once"),
 ])
 def test_validation_names_the_offending_key(patch, message):
     with pytest.raises(ConfigError, match=message):

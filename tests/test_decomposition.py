@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from fbpinn.decomposition import (Interval, TripleOverlapError,
@@ -8,6 +8,8 @@ from fbpinn.decomposition import (Interval, TripleOverlapError,
                                   build_decomposition_from_width,
                                   classify_points, empty_subdomains,
                                   sample_collocation, window, window_table)
+
+import window_table_reference
 
 EIGHT = Interval(0.0, 8.0)
 
@@ -203,3 +205,95 @@ def test_to_jsonable_round_trip_fields():
     assert d["subdomains"][0]["window"]["up"] is None
     assert d["subdomains"][-1]["window"]["down"] is None
     assert d["subdomains"][1]["neighbors"] == [1, 3]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_tables_equal(table, ref):
+    assert len(table) == len(ref)
+    for got, want in zip(table, ref):
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+@given(data=st.data(), n_sub=st.integers(1, 12),
+       overlap=st.one_of(st.floats(0.05, 0.95), st.just("2h")))
+@settings(max_examples=150, deadline=None)
+def test_window_table_matches_the_per_subdomain_loop(data, n_sub, overlap):
+    # unsorted and repeated points, points on every subdomain edge, and
+    # width 2h, where non-adjacent subdomains touch and an edge point is
+    # held three times
+    try:
+        dec = build_decomposition(EIGHT, n_sub, overlap) if overlap != "2h" \
+            else build_decomposition_from_width(EIGHT, n_sub, 16.0 / n_sub)
+    except TripleOverlapError:
+        reject()
+    edges = [e for sd in dec.subdomains for e in (sd.left, sd.right)]
+    pts = np.array(data.draw(st.lists(
+        st.one_of(st.floats(0.0, 8.0), st.sampled_from(edges)), max_size=60)))
+    _assert_tables_equal(window_table(dec, pts), window_table_reference.window_table(dec, pts))
+
+
+@pytest.mark.parametrize("n_sub, overlap", [(1, 0.5), (16, 0.7), (30, 0.5)])
+def test_window_table_matches_the_per_subdomain_loop_on_the_dense_grid(n_sub, overlap):
+    dom = Interval(-2 * np.pi, 2 * np.pi)
+    dec = build_decomposition(dom, n_sub, overlap)
+    grid = sample_collocation(dom, 30_000)
+    _assert_tables_equal(window_table(dec, grid), window_table_reference.window_table(dec, grid))
+
+
+def test_window_table_rejects_points_outside_every_subdomain():
+    dec = build_decomposition(EIGHT, 4, 0.5)
+    for fn in (window_table, window_table_reference.window_table):
+        with pytest.raises(ValueError, match=r"point \S*9\.5\S* lies outside every subdomain"):
+            fn(dec, [1.0, 9.5, np.nan])
+
+
+def _pairwise_chain(domain, n, width):
+    """Neighbour sets from comparing every pair of subdomains, or the first
+    pair of non-adjacent subdomains that overlap."""
+    h = domain.width / n
+    centers = domain.a + (np.arange(n) + 0.5) * h
+    lefts = np.maximum(centers - width / 2.0, domain.a)
+    rights = np.minimum(centers + width / 2.0, domain.b)
+    overlaps = np.maximum.outer(lefts, lefts) < np.minimum.outer(rights, rights)
+    pairs = np.argwhere(np.triu(overlaps, k=1)).tolist()
+    far = [(i + 1, j + 1) for i, j in pairs if j - i > 1]
+    if far:
+        return far[0]
+    neighbors = [set() for _ in range(n)]
+    for i, j in pairs:
+        neighbors[i].add(j + 1)
+        neighbors[j].add(i + 1)
+    return [frozenset(s) for s in neighbors]
+
+
+@given(a=st.floats(-10.0, 0.0), span=st.floats(0.1, 20.0), n=st.integers(1, 12),
+       stretch=st.one_of(st.floats(1e-6, 1.0), st.just(1.0)))
+@settings(max_examples=300, deadline=None)
+def test_neighbor_sets_match_the_pairwise_definition(a, span, n, stretch):
+    # width h(1 + stretch): stretch 1 is width 2h, where rounding can make
+    # subdomains i and i + 2 overlap
+    dom = Interval(a, a + span)
+    width = dom.width / n * (1.0 + stretch)
+    want = _pairwise_chain(dom, n, width)
+    if isinstance(want, tuple):
+        with pytest.raises(TripleOverlapError,
+                           match=rf"^subdomains {want[0]} and {want[1]} overlap"):
+            build_decomposition_from_width(dom, n, width)
+        return
+    try:
+        dec = build_decomposition_from_width(dom, n, width)
+    except (TripleOverlapError, ValueError):
+        # a width rounded past 2h or down to h, rejected before any pair
+        reject()
+    assert [sd.neighbor_indices for sd in dec.subdomains] == want
+
+
+def test_triple_overlap_from_rounding_names_the_first_pair():
+    # width 2h: subdomains 1 and 3 should touch, but rounding makes them overlap
+    dom = Interval(-0.5135055286275616, 3.187131374903806)
+    assert _pairwise_chain(dom, 4, 2.0 * dom.width / 4) == (1, 3)
+    with pytest.raises(TripleOverlapError, match="^subdomains 1 and 3 overlap"):
+        build_decomposition_from_width(dom, 4, 2.0 * dom.width / 4)

@@ -64,6 +64,23 @@ def test_init_shapes_and_determinism():
     assert any(not np.array_equal(a, b) for a, b in zip(p.arrays(), r.arrays()))
 
 
+@pytest.mark.parametrize("sizes", [[1, 1], [1, 8, 1], [1, 16, 16, 1], [1, 23, 3, 1]])
+def test_init_draws_into_the_flat_vector_as_separate_arrays_would(sizes):
+    # the same draws, layer by layer, as separate arrays copied into MlpParams
+    rng = np.random.default_rng(11)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        biases.append(np.zeros(fan_out))
+    want = MlpParams(weights, biases)
+    got = init_params(sizes, seed=11)
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert got._layout == want._layout
+    for a, b in zip(got.arrays(), want.arrays()):
+        assert a.shape == b.shape and a.base is got.flat
+
+
 def test_init_glorot_bounds():
     p = init_params([1, 50, 1], seed=0)
     bound = np.sqrt(6.0 / 51)
