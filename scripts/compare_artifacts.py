@@ -16,6 +16,7 @@ runs have one boundary point.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -162,18 +163,25 @@ def compare_outputs(out_a, out_b, label_a, label_b):
     return differing
 
 
+@contextlib.contextmanager
+def worktree(repo, rev, path):
+    """rev of repo checked out with `git worktree` at path, for the
+    duration of the with block."""
+    subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach",
+                    "--quiet", str(path), rev], check=True)
+    try:
+        yield path
+    finally:
+        subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force",
+                        str(path)], check=True)
+
+
 def compare(rev, repo=REPO, matrix=MATRIX):
     """Run matrix at rev and in repo's working tree and print the
     comparison; returns the number of files and exit codes that differ."""
     with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp) / "tree"
-        subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach",
-                        "--quiet", str(base), rev], check=True)
-        try:
+        with worktree(repo, rev, Path(tmp) / "tree") as base:
             codes_rev = run_matrix(base, Path(tmp) / "rev", matrix)
-        finally:
-            subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force",
-                            str(base)], check=True)
         codes_work = run_matrix(Path(repo), Path(tmp) / "work", matrix)
         differing = 0
         for name, _, _ in matrix:

@@ -22,7 +22,7 @@ from pathlib import Path
 from .config import (ConfigError, build_problem, build_schedule,
                      check_whole_rounds, load_config)
 from .decomposition import (build_decomposition, empty_subdomains,
-                            sample_collocation)
+                            index_list, sample_collocation)
 from .networks import NumericalFailureError
 from .problems import UndefinedL2Error
 from .reporting import (scalability_trends, write_run_artifacts,
@@ -59,7 +59,8 @@ def _check_subdomain_count(cfg, n_subdomains):
     if empty:
         raise ConfigError(
             f"training.collocation_points = {cfg.training.collocation_points} "
-            f"leaves subdomains {empty} of {n_subdomains} without a collocation point")
+            f"leaves subdomains {index_list(empty)} of {n_subdomains} without a "
+            "collocation point")
 
 
 def _check_outdir(outdir):

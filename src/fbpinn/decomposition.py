@@ -316,6 +316,16 @@ def empty_subdomains(decomposition, points):
     return [int(j) + 1 for j in np.nonzero(held == 0)[0]]
 
 
+def index_list(indices):
+    """indices as a list for an error message: all of them, as str(list)
+    gives them, when there are at most 10, else the first 10 and the
+    total, as in "[5, 6, …; 99940 in all]"."""
+    if len(indices) <= 10:
+        return str([int(j) for j in indices])
+    head = ", ".join(str(int(j)) for j in indices[:10])
+    return f"[{head}, …; {len(indices)} in all]"
+
+
 @dataclass(frozen=True)
 class CollocationSets:
     """Membership of each point in each subdomain, split into interior points

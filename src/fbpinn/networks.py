@@ -17,6 +17,12 @@ BLAS with their operands in swapped roles and the bias sums are pairwise,
 so results differ from it in the last bits. Neither layout gives a row the
 same bits at every batch size.
 
+The forward's tape keeps each hidden layer's tanh derivative 1 - a^2 beside
+its activation and tangent, so the backward reads it instead of computing
+it again. loss_gradient writes into a caller's gradient (out) when given
+one: the trainer keeps one gradient per network for a whole run, as rows
+of one matrix.
+
 eval_values, the value-only pass behind the dense error grid and
 solution_values, runs an input of 2 * _BLOCK rows or more in blocks of
 _BLOCK (4,096) rows, the last block taking the remainder: a whole
@@ -116,6 +122,13 @@ class ParamGradient(_FlatLayers):
         """Uninitialised gradient laid out like params, for _backward to fill."""
         return cls._wrap(np.empty_like(params.flat), params._layout, len(params.weights))
 
+    @classmethod
+    def rows_like(cls, params, n):
+        """n uninitialised gradients laid out like params, each a view of
+        one row of a single (n, params.flat.size) matrix."""
+        matrix = np.empty((n, params.flat.size))
+        return [cls._wrap(row, params._layout, len(params.weights)) for row in matrix]
+
 
 def init_params(layer_sizes, seed):
     """Glorot-uniform weights, zero biases; deterministic in seed."""
@@ -143,8 +156,10 @@ def _forward(params, x_hat):
     """Batched forward pass propagating the input tangent.
 
     Returns (u, du, tape) with tape = (x, hidden): x is the 1-D input and
-    hidden[l] = (act, dact) holds tanh layer l's activation and tangent as
-    (width, rows) arrays, which is what _backward reads.
+    hidden[l] = (act, dact, phi1) holds tanh layer l's activation a, its
+    tangent and phi1 = 1 - a^2, the tanh derivative that the tangent is
+    built from (dact = phi1 * dz), all as (width, rows) arrays, which is
+    what _backward reads.
     """
     x = np.asarray(x_hat, dtype=float).reshape(-1)
     W0 = params.weights[0]
@@ -154,10 +169,10 @@ def _forward(params, x_hat):
     hidden = []
     for W, b in zip(params.weights[1:], params.biases[1:]):
         act = np.tanh(z, out=z)
-        dact = act * act
-        np.subtract(1.0, dact, out=dact)
-        dact *= dz
-        hidden.append((act, dact))
+        phi1 = act * act
+        np.subtract(1.0, phi1, out=phi1)
+        dact = phi1 * dz
+        hidden.append((act, dact, phi1))
         z = W @ act
         z += b[:, None]
         dz = W @ dact
@@ -166,7 +181,7 @@ def _forward(params, x_hat):
     return z[0], dz[0], (x, hidden)
 
 
-def _backward(params, tape, dloss_du, dloss_ddu):
+def _backward(params, tape, dloss_du, dloss_ddu, grad=None):
     # Adjoints of (value, tangent) pushed through both chains, as
     # (width, rows) arrays. tanh node a = phi(z), da = phi'(z) dz,
     # phi' = 1 - a^2:
@@ -175,14 +190,16 @@ def _backward(params, tape, dloss_du, dloss_ddu):
     # linear node z = W a_prev + b, dz = W da_prev:
     #   Wbar = zbar a_prev^T + dzbar da_prev^T,  bbar = row sums of zbar
     #   abar = W^T zbar,  dbar = W^T dzbar
-    # The first layer's a_prev is x and its da_prev is 1.
+    # The first layer's a_prev is x and its da_prev is 1. phi' comes from
+    # the tape. Every entry of grad (new when None) is written.
     x, hidden = tape
     weights = params.weights
-    grad = ParamGradient.empty_like(params)
+    if grad is None:
+        grad = ParamGradient.empty_like(params)
     zbar = np.asarray(dloss_du, dtype=float).reshape(1, -1)
     dzbar = np.asarray(dloss_ddu, dtype=float).reshape(1, -1)
     for ell in reversed(range(1, len(weights))):
-        act, dact = hidden[ell - 1]
+        act, dact, phi1 = hidden[ell - 1]
         gw = grad.weights[ell]
         np.matmul(zbar, act.T, out=gw)
         gw += dzbar @ dact.T
@@ -192,8 +209,6 @@ def _backward(params, tape, dloss_du, dloss_ddu):
             abar, dbar = W.T * zbar, W.T * dzbar
         else:
             abar, dbar = W.T @ zbar, W.T @ dzbar
-        phi1 = act * act
-        np.subtract(1.0, phi1, out=phi1)
         curv = act * dact
         curv *= -2.0
         curv *= dbar
@@ -260,13 +275,19 @@ def _value_chain(params, x, work=None):
     return a[0]
 
 
-def loss_gradient(params, x_hat, loss_fn, forward=None):
+def loss_gradient(params, x_hat, loss_fn, forward=None, out=None):
     """Loss value and its exact parameter gradient.
 
     loss_fn(u, du) must return (loss, dloss_du, dloss_ddu) with the per-point
     partial derivatives of the accumulated loss in both arguments. forward,
     when given, is the (u, du, tape) of _forward(params, x_hat) at the
     current parameters and replaces that pass; it is checked like a fresh one.
+    out, when given, is a ParamGradient laid out like params that receives
+    the gradient and is returned, as NumPy's out= arguments are; every entry
+    is overwritten, so a reused out holds the bits of a fresh gradient.
+    A non-finite output, loss derivative, loss or gradient raises
+    NumericalFailureError and nothing else: overflow inside the passes and
+    sums is not reported as a RuntimeWarning.
     """
     # Each array is tested by one finite sum; the per-element search that
     # locates the failure runs only when a sum is not finite.
@@ -279,13 +300,11 @@ def loss_gradient(params, x_hat, loss_fn, forward=None):
         loss, gu, gd = loss_fn(u, du)
         if not math.isfinite(np.add.reduce(gu) + np.add.reduce(gd)):
             _raise_at_first_nonfinite((gu, gd), x_hat, "loss derivative")
-    if not np.isfinite(loss):
-        raise NumericalFailureError(f"non-finite loss value {float(loss)!r}")
-    grad = _backward(params, tape, gu, gd)
-    with np.errstate(invalid="ignore", over="ignore"):
-        total = np.add.reduce(grad.flat)
-    if not math.isfinite(total) and not np.all(np.isfinite(grad.flat)):
-        raise NumericalFailureError("non-finite parameter gradient")
+        if not np.isfinite(loss):
+            raise NumericalFailureError(f"non-finite loss value {float(loss)!r}")
+        grad = _backward(params, tape, gu, gd, out)
+        if not math.isfinite(np.add.reduce(grad.flat)) and not np.all(np.isfinite(grad.flat)):
+            raise NumericalFailureError("non-finite parameter gradient")
     return float(loss), grad
 
 

@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import (Decomposition, Subdomain, WindowParams,
-                            _collocation_in_domain, sample_collocation,
-                            window_table)
-from .networks import (NumericalFailureError, _forward, eval_batch,
-                       eval_values, init_params, loss_gradient, work_size)
+                            _collocation_in_domain, index_list,
+                            sample_collocation, window_table)
+from .networks import (NumericalFailureError, ParamGradient, _forward,
+                       eval_batch, eval_values, init_params, loss_gradient,
+                       work_size)
 from .optimizers import make_optimizer
 from .problems import _exact_on_error_grid
 from .scheduling import parallel_schedule, active_set as schedule_active_set
@@ -147,7 +148,9 @@ class _ForwardMemo:
     off, as in a memo that only evaluates), dropped when network j's
     optimizer steps. background is the frozen level-0 coarse network's
     share of every cache (_level0_background), when there is one.
-    active[order] holds _active_rows for the networks in order."""
+    active[order] holds _active_rows for the networks in order. grads[j - 1]
+    receives network j's gradient at each of its steps: rows of one
+    (J, parameters) matrix, allocated with a memo that keeps tapes."""
 
     u: np.ndarray
     du: np.ndarray
@@ -155,11 +158,14 @@ class _ForwardMemo:
     tapes: dict = field(default_factory=dict)
     background: tuple | None = None
     active: dict = field(default_factory=dict)
+    grads: list | None = None
 
 
 def _memo(state, keep_tapes=True, background=None):
     n_rows = len(state.rows.x)
-    return _ForwardMemo(np.empty(n_rows), np.empty(n_rows), keep_tapes, background=background)
+    grads = ParamGradient.rows_like(state.params[0], state.n_subdomains) if keep_tapes else None
+    return _ForwardMemo(np.empty(n_rows), np.empty(n_rows), keep_tapes,
+                        background=background, grads=grads)
 
 
 @dataclass
@@ -274,7 +280,7 @@ def _workspaces(problem, decomposition, points):
     members_end = bounds[:-1] + held[bounds[1:]] - held[bounds[:-1]]
     empty = [int(j) + 1 for j in np.nonzero(members_end == bounds[:-1])[0]]
     if empty:
-        raise ValueError(f"subdomains {empty} hold no collocation point")
+        raise ValueError(f"subdomains {index_list(empty)} hold no collocation point")
     holders = np.bincount(row_ids, minlength=len(all_x))
     interior_mask, overlap_mask = holders[:n_points] == 1, holders[:n_points] > 1
     x = all_x[row_ids]
@@ -534,7 +540,8 @@ def _step(state, order, memo):
         forward = memo.u[ws.rows], memo.du[ws.rows], memo.tapes.pop(j)
         try:
             _, grad = loss_gradient(state.params[j - 1], ws.inputs,
-                                    lambda u, du, term=term: term, forward)
+                                    lambda u, du, term=term: term, forward,
+                                    memo.grads[j - 1])
         except NumericalFailureError as err:
             err.subdomain = j
             err.step = state.step

@@ -1,6 +1,7 @@
 """End-to-end command line runs against tiny configs in tmp dirs."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -336,6 +337,9 @@ def test_subdomains_far_above_the_points_exit_2_without_a_pairwise_table(tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: training.collocation_points = 60 leaves subdomains [")
     assert "of 100000 without a collocation point" in err
+    # the first ten empty subdomains and their count, not all of them
+    assert len(err.encode()) < 1024
+    assert re.search(r"subdomains \[(\d+, ){10}…; \d+ in all\] of 100000", err)
     assert not out.exists()
 
 

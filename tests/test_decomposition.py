@@ -7,7 +7,8 @@ from fbpinn.decomposition import (Interval, TripleOverlapError,
                                   build_decomposition,
                                   build_decomposition_from_width,
                                   classify_points, empty_subdomains,
-                                  sample_collocation, window, window_table)
+                                  index_list, sample_collocation, window,
+                                  window_table)
 
 import window_table_reference
 
@@ -179,6 +180,13 @@ def test_empty_subdomains_are_those_classify_points_leaves_empty(n_sub, overlap,
     dec = build_decomposition(EIGHT, n_sub, overlap)
     members = classify_points(dec, pts).members
     assert empty_subdomains(dec, pts) == [j for j, m in enumerate(members, 1) if not len(m)]
+
+
+def test_index_list_names_ten_indices_and_the_count():
+    assert index_list([]) == "[]"
+    assert index_list(list(range(1, 11))) == str(list(range(1, 11)))
+    assert index_list(np.arange(5, 99945)) == \
+        "[5, 6, 7, 8, 9, 10, 11, 12, 13, 14, …; 99940 in all]"
 
 
 def test_classify_points_rejects_outside():

@@ -10,6 +10,7 @@ from fbpinn.networks import (MlpParams, NumericalFailureError, ParamGradient,
                              _forward, eval_batch, eval_values, init_params,
                              loss_gradient, params_from_jsonable,
                              params_to_jsonable)
+import gradient_step_reference
 import row_major_network as reference
 
 
@@ -354,6 +355,83 @@ def test_finite_values_whose_sum_overflows_pass_silently(w, b, x, gu, gd):
         loss, grad = loss_gradient(p, [x], loss_fn)
     assert loss == 0.0
     assert np.all(np.isfinite(grad.flat))
+
+
+def test_a_gradient_overflow_raises_without_warnings():
+    # every loss derivative is finite, so the element search passes them;
+    # the backward's products and sums overflow, and that must surface as
+    # the NumericalFailureError alone, not as a RuntimeWarning
+    p = init_params([1, 16, 16, 1], seed=0)
+    x = np.linspace(-1, 1, 50)
+
+    def loss_fn(u, du):
+        return 0.0, np.full_like(u, 1e307), np.full_like(du, 1e307)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="^non-finite parameter gradient$"):
+            loss_gradient(p, x, loss_fn)
+        with pytest.raises(NumericalFailureError, match="^non-finite parameter gradient$"):
+            loss_gradient(p, x, loss_fn, out=ParamGradient.empty_like(p))
+
+
+# no hidden layer, one, equal and unequal widths
+gradient_sizes = st.one_of(
+    st.sampled_from([[1, 1], [1, 16, 1], [1, 16, 16, 1], [1, 23, 3, 1]]),
+    st.lists(st.integers(1, 24), max_size=3).map(lambda h: [1, *h, 1]))
+
+
+def _random_case(sizes, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    p = init_params(sizes, seed=seed)
+    p.flat[:] = scale * rng.standard_normal(p.flat.size)
+    return p, rng.uniform(-1.5, 1.5, size=n), rng.standard_normal(n), rng.standard_normal(n)
+
+
+@given(sizes=gradient_sizes, n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.1, 2.0))
+@settings(max_examples=150, deadline=None)
+def test_backward_from_the_tape_matches_the_recomputing_reference(sizes, n, seed, scale):
+    p, x, gu, gd = _random_case(sizes, n, seed, scale)
+    u, du, tape = _forward(p, x)
+    for act, dact, phi1 in tape[1]:
+        assert np.array_equal(phi1, 1.0 - act * act)
+    ref = gradient_step_reference.backward(p, tape, gu, gd)
+    _, grad = loss_gradient(p, x, lambda u_, du_: (0.0, gu, gd), (u, du, tape))
+    assert np.array_equal(grad.flat, ref.flat)
+    out = ParamGradient.empty_like(p)
+    out.flat[:] = np.nan
+    _, grad = loss_gradient(p, x, lambda u_, du_: (0.0, gu, gd), out=out)
+    assert grad is out
+    assert np.array_equal(out.flat, ref.flat)
+
+
+@given(sizes=gradient_sizes, cases=st.lists(
+    st.tuples(st.integers(1, 300), st.integers(0, 2**32 - 1)), min_size=2, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_a_reused_out_gradient_gives_the_bits_of_fresh_ones(sizes, cases):
+    # one out, as the trainer keeps one row per network for a whole run,
+    # filled by consecutive calls on different parameters and inputs
+    out = ParamGradient.rows_like(init_params(sizes, seed=0), 3)[1]
+    for n, seed in cases:
+        p, x, gu, gd = _random_case(sizes, n, seed, 1.0)
+        loss_fn = quadratic_loss(gu * gu, gd * gd)
+        loss, fresh = loss_gradient(p, x, loss_fn)
+        loss_out, grad = loss_gradient(p, x, loss_fn, out=out)
+        assert grad is out and loss_out == loss
+        assert np.array_equal(out.flat, fresh.flat)
+        assert all(np.shares_memory(out.flat, a) for a in out.arrays())
+
+
+def test_gradient_rows_are_views_of_one_matrix():
+    p = init_params([1, 5, 3, 1], seed=1)
+    rows = ParamGradient.rows_like(p, 4)
+    base = rows[0].flat.base
+    assert base.shape == (4, p.flat.size)
+    for k, g in enumerate(rows):
+        assert g.flat.base is base and np.shares_memory(g.flat, base[k])
+        assert [a.shape for a in g.arrays()] == [a.shape for a in p.arrays()]
+        assert_flat_layout(g)
 
 
 def normwise_rel(a, b):

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fbpinn.networks import MlpParams, ParamGradient
+import gradient_step_reference
+from fbpinn.networks import MlpParams, ParamGradient, init_params
 from fbpinn.optimizers import Adam, GradientDescent, make_optimizer
 
 
@@ -93,6 +98,45 @@ def test_adam_flat_moments_match_per_array_update_bitwise():
             a -= 0.01 * (ma / c1) / (np.sqrt(va / c2) + opt.eps)
         for a, b in zip(p.arrays(), ref.arrays()):
             assert np.array_equal(a, b)
+
+
+@given(sizes=st.sampled_from([[1, 1], [1, 16, 1], [1, 16, 16, 1], [1, 23, 3, 1]]),
+       steps=st.integers(1, 50), seed=st.integers(0, 2**32 - 1),
+       lr=st.sampled_from([1e-3, 3e-4, 0.1]), scale=st.floats(1e-6, 1e3))
+@settings(max_examples=60, deadline=None)
+def test_adam_in_work_vectors_matches_the_one_expression_update(sizes, steps, seed, lr, scale):
+    rng = np.random.default_rng(seed)
+    p = init_params(sizes, seed=seed)
+    flat = p.flat.copy()
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    opt = Adam(lr)
+    grad = ParamGradient.empty_like(p)
+    for t in range(1, steps + 1):
+        grad.flat[:] = scale * rng.standard_normal(flat.size)
+        opt.step(p, grad)
+        gradient_step_reference.adam_step(flat, m, v, t, grad.flat, lr)
+        assert np.array_equal(p.flat, flat)
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+    assert opt.t == steps
+
+
+def test_adam_steps_allocate_no_vector_after_the_first():
+    p = init_params([1, 16, 16, 1], seed=0)
+    grad = ParamGradient.empty_like(p)
+    grad.flat[:] = np.linspace(-1, 1, p.flat.size)
+    opt = Adam(1e-3)
+    opt.step(p, grad)
+    buffers = opt.m, opt.v, opt._work
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            opt.step(p, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one temporary vector would be 8 * 321 bytes
+    assert peak < p.flat.nbytes // 2
+    assert all(a is b for a, b in zip((opt.m, opt.v, opt._work), buffers))
 
 
 @pytest.mark.parametrize("make", [lambda: Adam(0.01), lambda: GradientDescent(0.01)])

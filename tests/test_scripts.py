@@ -108,3 +108,72 @@ def test_compare_artifacts_finds_a_one_ulp_change(tmp_path, capsys):
     worktrees = subprocess.run(git + ["worktree", "list"], check=True,
                                capture_output=True, text=True).stdout
     assert len(worktrees.splitlines()) == 1
+
+
+def _load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", REPO / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_statistics_on_fixed_numbers():
+    summarize = _load_bench_pairs().summarize
+    rev = [200.0, 198.0, 202.0, 199.0, 201.0, 203.0, 197.0, 200.0, 204.0, 196.0]
+    # quartiles as statistics.quantiles(n=4) and perfbench take them:
+    # rev's are 197.75 and 202.25, an interquartile range of 4.5
+    work = [r + 5.0 for r in rev]
+    s = summarize(rev, work, "higher")
+    assert s["rev"] == (197.75, 200.0, 202.25)
+    assert s["work"] == (202.75, 205.0, 207.25)
+    assert (s["won"], s["pairs"], s["gain"]) == (10, 10, True)
+    # 9 of 10 pairs still hold; a tie counts for neither side
+    tied = work[:9] + [rev[9]]
+    assert summarize(rev, tied, "higher")["won"] == 9
+    assert summarize(rev, tied, "higher")["gain"]
+    # 8 of 10 do not, whatever the medians
+    lost = work[:8] + [r - 1.0 for r in rev[8:]]
+    assert summarize(rev, lost, "higher")["won"] == 8
+    assert not summarize(rev, lost, "higher")["gain"]
+    # every pair won, but a median gap of 4 within the interquartile range of 4.5
+    assert not summarize(rev, [r + 4.0 for r in rev], "higher")["gain"]
+    # lower is better: the same numbers read the other way round
+    s = summarize(work, rev, "lower")
+    assert (s["won"], s["gain"]) == (10, True)
+    assert not summarize(rev, work, "lower")["gain"]
+    # fewer than 10 pairs never hold
+    assert not summarize(rev[:9], work[:9], "higher")["gain"]
+    assert summarize([1.0], [2.0], "higher")["rev"] == (1.0, 1.0, 1.0)
+
+
+def test_bench_pairs_runs_both_trees_alternately(tmp_path, capsys):
+    bench = _load_bench_pairs()
+    repo = tmp_path / "repo"
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".perfbench_out")
+    for name in ("src", "perfbench"):
+        shutil.copytree(REPO / name, repo / name, ignore=ignore)
+    shutil.copy(REPO / "BENCHMARK.json", repo / "BENCHMARK.json")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + args, check=True)
+
+    # one pair of the shortest runs perfbench makes: a warm-up and two repeats
+    assert bench.bench_pairs("HEAD", "converge-j16-p1", 1, 0, 3, repo) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["pair 0 seed 3 HEAD",
+                                                          "pair 0 seed 3 work"]
+    for line in lines[:2]:
+        assert "NOT CORRECT" not in line
+        for name in ("steps_per_s", "wall_s", "setup_s", "peak_rss_mb"):
+            assert f" {name} " in line
+    assert lines[2] == "converge-j16-p1: 1 pairs, --seconds 0, HEAD against the working tree"
+    verdicts = lines[3:]
+    assert [v.split(" (")[0] for v in verdicts] == ["steps_per_s", "wall_s", "setup_s",
+                                                    "peak_rss_mb"]
+    assert all(v.endswith("won 0/1, gain does not hold") or
+               v.endswith("won 1/1, gain does not hold") for v in verdicts)
+    worktrees = subprocess.run(git + ["worktree", "list"], check=True,
+                               capture_output=True, text=True).stdout
+    assert len(worktrees.splitlines()) == 1

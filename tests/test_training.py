@@ -304,6 +304,16 @@ def test_create_state_rejects_subdomains_without_points():
         create_state(prob, dec, pts, layer_sizes=[1, 4, 1])
 
 
+def test_many_subdomains_without_points_are_listed_by_the_first_ten():
+    prob = make_single_frequency(3.0, DOM)
+    dec = build_decomposition(DOM, 40, 0.7)
+    pts = sample_collocation(DOM, 3)
+    empty = empty_subdomains(dec, pts)
+    head = ", ".join(map(str, empty[:10]))
+    with pytest.raises(ValueError, match=rf"^subdomains \[{head}, …; {len(empty)} in all\] hold"):
+        create_state(prob, dec, pts, layer_sizes=[1, 4, 1])
+
+
 MEMBERSHIP_DOM = Interval(-4.0, 4.0)
 
 
