@@ -11,6 +11,7 @@ ramps over the overlap regions, normalized pointwise to sum to one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,16 +72,54 @@ class Subdomain:
         return self.left <= x <= self.right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
+    """Subdomain k+1 is [lefts[k], rights[k]]; its window rises over
+    [lefts[k], lefts[k] + delta] and falls over [rights[k] - delta,
+    rights[k]], but the first window does not rise and the last does not
+    fall. The per-subdomain objects are built from these arrays on first
+    use."""
+
     domain: Interval
-    subdomains: tuple
-    window_params: tuple
+    lefts: np.ndarray
+    rights: np.ndarray
+    delta: float
     overlap_fraction: float | None
 
     @property
     def n_subdomains(self):
-        return len(self.subdomains)
+        return len(self.lefts)
+
+    @cached_property
+    def subdomains(self):
+        # near[k]: subdomains k and k + 1 overlap (none at 0 and n)
+        near = [False, *(self.lefts[1:] < self.rights[:-1]).tolist(), False]
+        return tuple(
+            Subdomain(k, left, right,
+                      frozenset(j for j, yes in ((k - 1, near[k - 1]), (k + 1, near[k])) if yes))
+            for k, left, right in zip(range(1, self.n_subdomains + 1),
+                                      self.lefts.tolist(), self.rights.tolist()))
+
+    @cached_property
+    def window_params(self):
+        last = self.n_subdomains - 1
+        return tuple(
+            WindowParams(None if k == 0 else (left, left + self.delta),
+                         None if k == last else (right - self.delta, right))
+            for k, (left, right) in enumerate(zip(self.lefts.tolist(), self.rights.tolist())))
+
+    @cached_property
+    def ramps(self):
+        """Every subdomain's (up start, up width, down end, down width) as
+        four arrays. A width is the difference of its ramp's two bounds,
+        which can differ from delta in the last bit. A subdomain without a
+        ramp has start -inf (end +inf) and width 1, which puts t at +inf,
+        where the ramp is exactly 1 and its slope 0."""
+        up_start, down_end = self.lefts.copy(), self.rights.copy()
+        up_width = (self.lefts + self.delta) - self.lefts
+        down_width = self.rights - (self.rights - self.delta)
+        up_start[0], up_width[0], down_end[-1], down_width[-1] = -np.inf, 1.0, np.inf, 1.0
+        return up_start, up_width, down_end, down_width
 
     def subdomain(self, j):
         if not 1 <= j <= self.n_subdomains:
@@ -127,18 +166,6 @@ def _ramp(t, width):
     return t, slope
 
 
-def _ramp_bounds(decomposition):
-    """Every subdomain's (up start, up width, down end, down width) as four
-    arrays. A subdomain without a ramp has start -inf (end +inf) and width
-    1, which puts t at +inf, where the ramp is exactly 1 and its slope 0."""
-    wps = decomposition.window_params
-    up = [(-np.inf, 1.0) if wp.up is None else (wp.up[0], wp.up[1] - wp.up[0])
-          for wp in wps]
-    down = [(np.inf, 1.0) if wp.down is None else (wp.down[1], wp.down[1] - wp.down[0])
-            for wp in wps]
-    return (*np.array(up).T, *np.array(down).T)
-
-
 def build_decomposition(domain, n_subdomains, overlap_fraction):
     """Equally spaced centers, common width 2h/(2 - overlap_fraction)."""
     if not isinstance(n_subdomains, (int, np.integer)) or n_subdomains < 1:
@@ -177,26 +204,13 @@ def build_decomposition_from_width(domain, n_subdomains, width, overlap_fraction
 
     # Lefts and rights never decrease, so subdomains i < j overlap when
     # lefts[j] < rights[i], and i overlaps some j > i + 1 only if it
-    # overlaps i + 2: comparing each with the next two finds every pair.
+    # overlaps i + 2.
     skip = np.nonzero(lefts[2:] < rights[:-2])[0]
     if len(skip):
         i = int(skip[0])
         raise TripleOverlapError(
             f"subdomains {i + 1} and {i + 3} overlap; chain structure broken")
-    neighbor_sets = [set() for _ in range(n)]
-    for i in np.nonzero(lefts[1:] < rights[:-1])[0].tolist():
-        neighbor_sets[i].add(i + 2)
-        neighbor_sets[i + 1].add(i + 1)
-
-    subdomains = tuple(
-        Subdomain(i + 1, float(lefts[i]), float(rights[i]), frozenset(neighbor_sets[i]))
-        for i in range(n))
-    windows = []
-    for i in range(n):
-        up = None if i == 0 else (float(lefts[i]), float(lefts[i] + delta))
-        down = None if i == n - 1 else (float(rights[i] - delta), float(rights[i]))
-        windows.append(WindowParams(up, down))
-    return Decomposition(domain, subdomains, tuple(windows),
+    return Decomposition(domain, lefts, rights, delta,
                          float(overlap_fraction) if overlap_fraction is not None else None)
 
 
@@ -241,11 +255,10 @@ def window_table(decomposition, points):
     once spent: on a 30,000-point grid the pass then peaks below the
     per-subdomain loop it replaced."""
     pts = np.asarray(points, dtype=float)
-    subs = decomposition.subdomains
     order = np.argsort(pts, kind="stable")
     by_x = pts[order]
-    lo = np.searchsorted(by_x, [sd.left for sd in subs], "left")
-    counts = np.searchsorted(by_x, [sd.right for sd in subs], "right") - lo
+    lo = np.searchsorted(by_x, decomposition.lefts, "left")
+    counts = np.searchsorted(by_x, decomposition.rights, "right") - lo
     del by_x
     bounds = np.concatenate([[0], np.cumsum(counts)])
     # subdomain k+1 holds the sorted positions lo[k]:lo[k] + counts[k];
@@ -254,7 +267,7 @@ def window_table(decomposition, points):
     ids += np.arange(bounds[-1])
     ids = order[ids]
     del order
-    key = np.repeat(np.arange(len(subs)) * len(pts), counts)
+    key = np.repeat(np.arange(decomposition.n_subdomains) * len(pts), counts)
     ids += key
     ids.sort(kind="stable")
     ids -= key
@@ -267,7 +280,7 @@ def window_table(decomposition, points):
     del covered
 
     # raw windows: rising ramp times falling ramp, (u d, du d + u dd)
-    up_start, up_width, down_end, down_width = _ramp_bounds(decomposition)
+    up_start, up_width, down_end, down_width = decomposition.ramps
     x = pts[ids]
     t = x - np.repeat(up_start, counts)
     width = np.repeat(up_width, counts)
@@ -310,9 +323,8 @@ def empty_subdomains(decomposition, points):
     """1-based indices of the subdomains whose closed interval holds none of
     the points."""
     pts = np.sort(np.asarray(points, dtype=float))
-    lefts = [sd.left for sd in decomposition.subdomains]
-    rights = [sd.right for sd in decomposition.subdomains]
-    held = np.searchsorted(pts, rights, "right") - np.searchsorted(pts, lefts, "left")
+    held = (np.searchsorted(pts, decomposition.rights, "right")
+            - np.searchsorted(pts, decomposition.lefts, "left"))
     return [int(j) + 1 for j in np.nonzero(held == 0)[0]]
 
 
@@ -351,14 +363,12 @@ def _collocation_in_domain(domain, points):
 
 
 def classify_points(decomposition, points):
+    """The CollocationSets of points, from one window_table pass: a point
+    held by more than one subdomain is an overlap point."""
     pts = _collocation_in_domain(decomposition.domain, points)
-    masks = [(pts >= sd.left) & (pts <= sd.right) for sd in decomposition.subdomains]
-    members, interior, overlap = [], [], []
-    for sd, mask in zip(decomposition.subdomains, masks):
-        shared = np.zeros_like(mask)
-        for l in sd.neighbor_indices:
-            shared |= masks[l - 1]
-        members.append(np.nonzero(mask)[0])
-        overlap.append(np.nonzero(mask & shared)[0])
-        interior.append(np.nonzero(mask & ~shared)[0])
+    table = window_table(decomposition, pts)
+    shared = np.bincount(table.ids, minlength=len(pts)) > 1
+    members = [ids for ids, _, _ in table]
+    overlap = [ids[shared[ids]] for ids in members]
+    interior = [ids[~shared[ids]] for ids in members]
     return CollocationSets(pts, members, interior, overlap)

@@ -57,7 +57,7 @@ def write_solution(outdir, x, pred, exact, coarse=None):
                     parts.write("%s,%.17g,%.17g,%s" % (head, cv, lv, tail))
 
 
-def write_summary(path, report, extra=None):
+def write_summary(path, report):
     final = report.final_loss
     results = {
         "initial_loss": report.initial_loss,
@@ -70,8 +70,6 @@ def write_summary(path, report, extra=None):
         "phases": report.phases,
         "wall_time_s": report.wall_time_s,
     }
-    if extra:
-        results.update(extra)
     payload = {"config": report.config, "results": results}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

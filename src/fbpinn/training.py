@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import (Decomposition, Subdomain, WindowParams,
-                            _collocation_in_domain, index_list,
+from .decomposition import (Decomposition, _collocation_in_domain, index_list,
                             sample_collocation, window_table)
 from .networks import (NumericalFailureError, ParamGradient, _forward,
                        eval_batch, eval_values, init_params, loss_gradient,
@@ -46,7 +45,6 @@ class LossBreakdown:
     interior: float
     overlap: float
     boundary: float = 0.0
-    per_subdomain_interior: tuple = ()
 
 
 @dataclass
@@ -59,7 +57,6 @@ class OverlapCache:
 
     values: np.ndarray
     dvalues: np.ndarray
-    round_refreshed: int
 
 
 @dataclass
@@ -106,7 +103,6 @@ class _RowTable:
     win: np.ndarray
     dwin: np.ndarray              # 0 at boundary rows
     member: np.ndarray            # a collocation row, not a soft boundary row
-    overlap: np.ndarray           # a collocation row at an overlap point
     owned: np.ndarray             # the row's workspace is its lowest-indexed holder
     rhs: np.ndarray               # f at collocation rows, the soft targets at boundary rows
     cons: np.ndarray | None
@@ -123,19 +119,18 @@ class _RowTable:
 @dataclass
 class SubdomainWorkspace:
     """One network's rows, `rows` of its state's row table. Every array is
-    a view into that table, not a copy; point_ids, x and overlap_mask
-    cover the member rows, which come first."""
+    a view into that table, not a copy; point_ids and x cover the
+    n_members member rows, which come first."""
 
     index: int                    # subdomain j
     rows: slice
     row_ids: np.ndarray
     row_x: np.ndarray
     inputs: np.ndarray
-    row_owned: np.ndarray
-    overlap_mask: np.ndarray
+    n_members: int
 
     def __post_init__(self):
-        n = len(self.overlap_mask)
+        n = self.n_members
         self.point_ids, self.x = self.row_ids[:n], self.row_x[:n]
 
 
@@ -207,8 +202,7 @@ def _norm_inputs(decomposition, bounds, x):
     """Network inputs x_hat and d(x_hat)/dx at rows x, rows
     bounds[k]:bounds[k + 1] in subdomain k+1: each subdomain's interval
     mapped onto [-1, 1], over all rows at once."""
-    lefts = np.array([sd.left for sd in decomposition.subdomains])
-    rights = np.array([sd.right for sd in decomposition.subdomains])
+    lefts, rights = decomposition.lefts, decomposition.rights
     counts = np.diff(bounds)
     halfwidth = np.repeat(0.5 * (rights - lefts), counts)
     inputs = x - np.repeat(0.5 * (lefts + rights), counts)
@@ -275,10 +269,9 @@ def _workspaces(problem, decomposition, points):
     table = window_table(decomposition, all_x)
     bounds, row_ids, win, dwin = table.bounds, table.ids, table.win, table.dwin
     member = row_ids < n_points
-    # each workspace's member rows come first: bounds[k]:members_end[k]
-    held = np.concatenate([[0], np.cumsum(member)])
-    members_end = bounds[:-1] + held[bounds[1:]] - held[bounds[:-1]]
-    empty = [int(j) + 1 for j in np.nonzero(members_end == bounds[:-1])[0]]
+    # each workspace's n_members[k] member rows come first
+    n_members = np.diff(np.concatenate([[0], np.cumsum(member)])[bounds])
+    empty = [int(j) + 1 for j in np.nonzero(n_members == 0)[0]]
     if empty:
         raise ValueError(f"subdomains {index_list(empty)} hold no collocation point")
     holders = np.bincount(row_ids, minlength=len(all_x))
@@ -316,14 +309,12 @@ def _workspaces(problem, decomposition, points):
         member_routes.append((src[:m], dst[:m]))
 
     t = _RowTable(
-        row_ids=row_ids, x=x, inputs=inputs, scale=scale, win=win, dwin=dwin,
-        member=member, overlap=np.append(overlap_mask, np.zeros(len(bc_x), dtype=bool))[row_ids],
+        row_ids=row_ids, x=x, inputs=inputs, scale=scale, win=win, dwin=dwin, member=member,
         owned=owned, rhs=rhs, cons=cons, dcons=dcons, dr_du=dr_du, dr_ddu=dr_ddu, routes=routes,
         member_routes=member_routes)
     workspaces = [
-        SubdomainWorkspace(j, slice(lo, hi), t.row_ids[lo:hi], t.x[lo:hi], t.inputs[lo:hi],
-                           t.owned[lo:hi], t.overlap[lo:mid])
-        for j, (lo, mid, hi) in enumerate(zip(bounds, members_end, bounds[1:]), start=1)]
+        SubdomainWorkspace(j, slice(lo, hi), t.row_ids[lo:hi], t.x[lo:hi], t.inputs[lo:hi], int(m))
+        for j, (lo, hi, m) in enumerate(zip(bounds, bounds[1:], n_members), start=1)]
     return workspaces, t, _GlobalTables(pts, interior_mask, overlap_mask, len(bc_x), bc_weight)
 
 
@@ -389,7 +380,7 @@ def refresh_overlap_cache(state, memo=None):
         contrib = _dvalue(t, slice(None), memo.u, memo.du)
         for src, dst in t.member_routes:
             dvalues[dst] += contrib[src]
-    return OverlapCache(values, dvalues, state.round)
+    return OverlapCache(values, dvalues)
 
 
 def _residual(t, rows, u, du, cache):
@@ -481,12 +472,10 @@ def _loss_split(state, cache, memo=None):
         r, err = by_row[:n], by_row[n:]
         boundary = float(_penalty(t, err)) if t.n_bc else 0.0
         squared = r * r
-        per_sub = tuple(float(np.sum(squared[ws.point_ids[~ws.overlap_mask]]) / n)
-                        for ws in state.workspaces)
         split = LossBreakdown(float(np.sum(squared) / n) + boundary,
                               float(np.sum(squared[t.interior_mask]) / n),
                               float(np.sum(squared[t.overlap_mask]) / n),
-                              boundary, per_sub)
+                              boundary)
     return split, r
 
 
@@ -742,16 +731,14 @@ def _lone_state(problem, points, params, optimizer):
     and is never refreshed. The subdomain's bounds are the domain's own, so
     its inputs are normalized exactly as coarse_norm normalizes them."""
     dom = problem.domain
-    decomposition = Decomposition(
-        dom, (Subdomain(1, dom.a, dom.b, frozenset()),),
-        (WindowParams(None, None),), None)
+    decomposition = Decomposition(dom, np.array([dom.a]), np.array([dom.b]), 0.0, None)
     workspaces, rows, tables = _workspaces(problem, decomposition, points)
     return FbpinnState(
         problem=problem, decomposition=decomposition, params=[params],
         coarse_params=None, optimizers=[optimizer], coarse_optimizer=None,
         communication_interval=1, round=0, step=0,
         workspaces=workspaces, rows=rows, tables=tables,
-        cache=OverlapCache(np.zeros(len(rows.x)), np.zeros(len(rows.x)), 0))
+        cache=OverlapCache(np.zeros(len(rows.x)), np.zeros(len(rows.x))))
 
 
 def train_pinn(problem, points, *, layer_sizes, steps, optimizer="adam",

@@ -50,8 +50,6 @@ def build(state):
     owner = np.zeros(len(all_x), dtype=int)
     for j in range(len(rows), 0, -1):
         owner[rows[j - 1][0]] = j
-    interior = np.bincount(np.concatenate([ids[:len(dw)] for ids, _, dw in rows]),
-                           minlength=n) == 1
     if hard:
         cons_all = np.asarray(problem.constraint.multiplier(pts), dtype=float)
         dcons_all = np.asarray(problem.constraint.multiplier_prime(pts), dtype=float)
@@ -59,7 +57,7 @@ def build(state):
     for sd, (row_ids, row_win, dwin) in zip(dec.subdomains, rows):
         ws = _workspace(sd.index, row_ids, all_x[row_ids], row_win, dwin, sd.left, sd.right)
         ids = row_ids[:ws.n_own]
-        ws.point_ids, ws.interior = ids, interior[ids]
+        ws.point_ids = ids
         ws.owned = owner[row_ids] == sd.index
         ws.rhs = np.asarray(problem.rhs(pts[ids]), dtype=float)
         if hard:
@@ -161,12 +159,10 @@ def loss_split(state, workspaces, cache):
         r, err = by_row[:n], by_row[n:]
         boundary = float(t.bc_weight * (err @ err) / t.n_bc) if t.n_bc else 0.0
         squared = r * r
-        per_sub = tuple(float(np.sum(squared[ws.point_ids[ws.interior]]) / n)
-                        for ws in workspaces)
         return LossBreakdown(float(np.sum(squared) / n) + boundary,
                              float(np.sum(squared[t.interior_mask]) / n),
                              float(np.sum(squared[t.overlap_mask]) / n),
-                             boundary, per_sub)
+                             boundary)
 
 
 def train_reference(state, schedule, rounds):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -10,6 +12,7 @@ from fbpinn.decomposition import (Interval, TripleOverlapError,
                                   index_list, sample_collocation, window,
                                   window_table)
 
+import decomposition_reference
 import window_table_reference
 
 EIGHT = Interval(0.0, 8.0)
@@ -182,6 +185,31 @@ def test_empty_subdomains_are_those_classify_points_leaves_empty(n_sub, overlap,
     assert empty_subdomains(dec, pts) == [j for j, m in enumerate(members, 1) if not len(m)]
 
 
+def _same_sets(got, want):
+    assert got.points.tobytes() == want.points.tobytes()
+    for name in ("members", "interior", "overlap"):
+        got_sets, want_sets = getattr(got, name), getattr(want, name)
+        assert len(got_sets) == len(want_sets)
+        assert all(_same_bits(g, w) for g, w in zip(got_sets, want_sets))
+
+
+@given(data=st.data(), n_sub=st.integers(1, 12),
+       overlap=st.one_of(st.floats(0.05, 0.95), st.just("2h")))
+@settings(max_examples=150, deadline=None)
+def test_classify_points_matches_the_per_subdomain_masks(data, n_sub, overlap):
+    # unsorted and repeated points, points on every subdomain edge, and
+    # width 2h, where an edge point is held three times
+    try:
+        dec = build_decomposition(EIGHT, n_sub, overlap) if overlap != "2h" \
+            else build_decomposition_from_width(EIGHT, n_sub, 16.0 / n_sub)
+    except TripleOverlapError:
+        reject()
+    edges = [e for sd in dec.subdomains for e in (sd.left, sd.right)]
+    pts = data.draw(st.lists(st.one_of(st.floats(0.0, 8.0), st.sampled_from(edges)),
+                             max_size=60))
+    _same_sets(classify_points(dec, pts), decomposition_reference.classify_points(dec, pts))
+
+
 def test_index_list_names_ten_indices_and_the_count():
     assert index_list([]) == "[]"
     assert index_list(list(range(1, 11))) == str(list(range(1, 11)))
@@ -256,6 +284,43 @@ def test_window_table_rejects_points_outside_every_subdomain():
     for fn in (window_table, window_table_reference.window_table):
         with pytest.raises(ValueError, match=r"point \S*9\.5\S* lies outside every subdomain"):
             fn(dec, [1.0, 9.5, np.nan])
+
+
+@given(a=st.floats(-10.0, 10.0), span=st.floats(0.1, 20.0), n=st.integers(1, 64),
+       overlap=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_views_match_the_per_subdomain_build(a, span, n, overlap):
+    dom = Interval(a, a + span)
+    try:
+        dec = build_decomposition(dom, n, overlap)
+    except ValueError:
+        # a width rounded down to h or up past 2h
+        reject()
+    width = 2.0 * (dom.width / n) / (2.0 - overlap)
+    subdomains, windows = decomposition_reference.build(dom, n, width)
+    assert dec.subdomains == subdomains
+    assert dec.window_params == windows
+    assert json.dumps(dec.to_jsonable()) == json.dumps(
+        decomposition_reference.to_jsonable(dom, overlap, subdomains, windows))
+    # the ramps window_table reads: start -inf (end +inf) and width 1
+    # where a window has no ramp
+    up = [(-np.inf, 1.0) if wp.up is None else (wp.up[0], wp.up[1] - wp.up[0])
+          for wp in windows]
+    down = [(np.inf, 1.0) if wp.down is None else (wp.down[1], wp.down[1] - wp.down[0])
+            for wp in windows]
+    assert all(_same_bits(got, np.array(want)) for got, want in
+               zip(dec.ramps, (*np.array(up).T, *np.array(down).T)))
+
+
+def test_a_large_decomposition_builds_no_subdomain_object_until_asked():
+    dec = build_decomposition(EIGHT, 100_000, 0.5)
+    pts = sample_collocation(EIGHT, 60)
+    table = window_table(dec, pts)
+    assert empty_subdomains(dec, pts) == [j for j, (ids, _, _) in enumerate(table, 1)
+                                          if not len(ids)]
+    assert "subdomains" not in vars(dec) and "window_params" not in vars(dec)
+    assert dec.subdomain(100_000).right == 8.0
+    assert "subdomains" in vars(dec)
 
 
 def _pairwise_chain(domain, n, width):

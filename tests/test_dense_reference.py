@@ -114,7 +114,6 @@ def check_against_dense(state, xs):
     assert close(got.boundary, boundary)
     # the split sums to the total
     assert close(got.interior + got.overlap + got.boundary, got.total)
-    assert close(sum(got.per_subdomain_interior), got.interior)
     values, want = solution_values(state, xs), dense_solution(state, xs)
     assert np.linalg.norm(values - want) <= REL * np.linalg.norm(want)
 

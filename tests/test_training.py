@@ -10,7 +10,7 @@ from fbpinn import networks, training
 from fbpinn.decomposition import (Interval, TripleOverlapError,
                                   build_decomposition,
                                   build_decomposition_from_width,
-                                  classify_points, empty_subdomains,
+                                  empty_subdomains,
                                   sample_collocation, window)
 from fbpinn.networks import NumericalFailureError, eval_batch, loss_gradient
 from fbpinn.problems import SoftConstraint, make_single_frequency, tanh_constraint
@@ -22,6 +22,7 @@ from fbpinn.training import (create_state, global_loss, local_loss,
                              train_coarse_then_local, train_pinn, train_round,
                              _stale_breakdown, RunReport)
 
+import decomposition_reference
 import per_network_reference as per_network
 from plain_pinn import train_plain
 
@@ -117,7 +118,6 @@ def test_loss_split_identity():
         state = small_state(n_sub=n_sub, n_pts=70, seed=seed)
         bd = global_loss(state)
         assert bd.total == pytest.approx(bd.interior + bd.overlap, rel=1e-12)
-        assert bd.interior == pytest.approx(sum(bd.per_subdomain_interior), rel=1e-12)
         if n_sub == 1:
             assert bd.overlap == 0.0
 
@@ -254,7 +254,6 @@ def test_communication_interval_counts_steps_per_round():
     rep = train(state, parallel_schedule(2), 2, record_interval=100)
     assert state.step == 10
     assert state.round == 2
-    assert state.cache.round_refreshed == 2
     assert rep.phases == {"fbpinn": 10}
 
 
@@ -340,7 +339,7 @@ def test_create_state_tables_agree_with_classify_points(data, n_sub, overlap, so
         with pytest.raises(ValueError, match=rf"^subdomains {re.escape(str(empty))} hold"):
             create_state(prob, dec, pts, layer_sizes=[1, 2, 1])
         return
-    sets = classify_points(dec, pts)
+    sets = decomposition_reference.classify_points(dec, pts)
     state = create_state(prob, dec, pts, layer_sizes=[1, 2, 1])
     interior = np.zeros(len(pts), dtype=bool)
     overlapping = np.zeros(len(pts), dtype=bool)
@@ -348,7 +347,8 @@ def test_create_state_tables_agree_with_classify_points(data, n_sub, overlap, so
         interior[sets.interior[j]] = True
         overlapping[sets.overlap[j]] = True
         assert np.array_equal(ws.point_ids, sets.members[j])
-        assert np.array_equal(ws.overlap_mask, np.isin(ws.point_ids, sets.overlap[j]))
+        assert np.array_equal(state.tables.overlap_mask[ws.point_ids],
+                              np.isin(ws.point_ids, sets.overlap[j]))
     assert np.array_equal(state.tables.interior_mask, interior)
     assert np.array_equal(state.tables.overlap_mask, overlapping)
 
@@ -538,7 +538,7 @@ def test_coarse_network_contributes_to_evaluation():
     assert global_loss(state).total == pytest.approx(manual_global_loss(state), rel=1e-12)
     # cache background equals the coarse term at interior points
     ws = state.workspaces[0]
-    interior = ~ws.overlap_mask
+    interior = ~state.tables.overlap_mask[ws.point_ids]
     c, hw = state.coarse_norm
     ug, _ = eval_batch(state.coarse_params, (ws.x[interior] - c) / hw)
     members = state.cache.values[ws.rows][:len(ws.x)]
@@ -618,7 +618,7 @@ def test_boundary_points_are_rows_of_every_holder(n_sub):
     holders, owners = {}, {}
     for ws in state.workspaces:
         n_own = len(ws.x)
-        for k, owned in zip(ws.row_ids[n_own:] - n, ws.row_owned[n_own:]):
+        for k, owned in zip(ws.row_ids[n_own:] - n, state.rows.owned[ws.rows][n_own:]):
             holders.setdefault(int(k), []).append(ws.index)
             if owned:
                 owners.setdefault(int(k), []).append(ws.index)
