@@ -13,7 +13,6 @@ All outputs are CSV/JSON; nothing is plotted.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -42,10 +41,14 @@ def resolve_outdir(cli_out, cfg):
 
 def _layout(cfg, n_subdomains):
     """The problem, its decomposition into n_subdomains subdomains and the
-    collocation points of cfg."""
+    collocation points of cfg; ConfigError if neighbours would not overlap."""
     problem = build_problem(cfg)
-    decomposition = build_decomposition(problem.domain, n_subdomains,
-                                        cfg.decomposition.overlap_fraction)
+    fraction = cfg.decomposition.overlap_fraction
+    try:
+        decomposition = build_decomposition(problem.domain, n_subdomains, fraction)
+    except ValueError as exc:
+        raise ConfigError(f"decomposition.overlap_fraction = {fraction!r} with "
+                          f"{n_subdomains} subdomains: {exc}") from exc
     points = sample_collocation(problem.domain, cfg.training.collocation_points)
     return problem, decomposition, points
 
@@ -74,7 +77,7 @@ def _check_outdir(outdir):
 
 
 def _rounds(cfg):
-    return math.ceil(cfg.training.steps / cfg.training.communication_interval)
+    return cfg.training.steps // cfg.training.communication_interval
 
 
 def run_single(cfg, outdir, coarse=False):
@@ -124,7 +127,7 @@ def run_sweep(cfg, outdir):
             try:
                 _, report = run_single(cell_cfg, cell_dir)
                 rows.append((J, p, report.final_loss.total, report.final_l2,
-                             _rounds(cell_cfg) * p, "ok"))
+                             cfg.training.steps, "ok"))
             except NumericalFailureError as err:
                 print(f"cell J={J} p={p} failed: {err}", file=sys.stderr)
                 rows.append((J, p, None, None,

@@ -126,9 +126,6 @@ class Decomposition:
             raise ValueError(f"subdomain index {j} out of range 1..{self.n_subdomains}")
         return self.subdomains[j - 1]
 
-    def window(self, j, x):
-        return window(self, j, x)
-
     def to_jsonable(self):
         return {
             "domain": [self.domain.a, self.domain.b],
@@ -183,7 +180,8 @@ def build_decomposition_from_width(domain, n_subdomains, width, overlap_fraction
 
     Widths above twice the spacing are rejected: they would put points in
     three subdomains at once, which the window and cache machinery does not
-    support.
+    support. So are widths that rounding leaves without an overlap of
+    positive width, or with a ramp of width 0.
     """
     if not isinstance(n_subdomains, (int, np.integer)) or n_subdomains < 1:
         raise ValueError(f"n_subdomains must be a positive integer, got {n_subdomains!r}")
@@ -210,8 +208,15 @@ def build_decomposition_from_width(domain, n_subdomains, width, overlap_fraction
         i = int(skip[0])
         raise TripleOverlapError(
             f"subdomains {i + 1} and {i + 3} overlap; chain structure broken")
-    return Decomposition(domain, lefts, rights, delta,
-                         float(overlap_fraction) if overlap_fraction is not None else None)
+    dec = Decomposition(domain, lefts, rights, delta,
+                        float(overlap_fraction) if overlap_fraction is not None else None)
+    _, up_width, _, down_width = dec.ramps
+    apart = np.nonzero((lefts[1:] >= rights[:-1]) | (up_width[1:] <= 0) | (down_width[:-1] <= 0))[0]
+    if len(apart):
+        i = int(apart[0])
+        raise ValueError(f"subdomain width {width} leaves subdomains {i + 1} and {i + 2} "
+                         "without an overlap of positive width")
+    return dec
 
 
 def window(decomposition, j, x):

@@ -4,7 +4,6 @@ identical runs produce byte-identical files."""
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 from pathlib import Path
 

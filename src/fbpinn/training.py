@@ -88,14 +88,17 @@ class RunReport:
 
 @dataclass
 class _RowTable:
-    """Every workspace's rows, one workspace after another in subdomain
-    order: its member collocation points, then the soft boundary points it
-    holds (none under a hard constraint). Row id k is collocation point k
-    below the number of collocation points and soft boundary point k -
-    that number above it. Each network's forward, residual, loss
-    derivatives and cache contributions are rows of these arrays, so all
-    active networks' elementwise work is one pass over their rows."""
+    """Every network's rows, one network after another in subdomain order:
+    network j's rows are bounds[j-1]:bounds[j], its member collocation
+    points up to member_ends[j-1], then the soft boundary points it holds
+    (none under a hard constraint). Row id k is collocation point k below
+    the number of collocation points and soft boundary point k - that
+    number above it. Each network's forward, residual, loss derivatives
+    and cache contributions are rows of these arrays, so all active
+    networks' elementwise work is one pass over their rows."""
 
+    bounds: np.ndarray
+    member_ends: np.ndarray
     row_ids: np.ndarray
     x: np.ndarray
     inputs: np.ndarray            # x_hat: the rows of every local forward
@@ -103,7 +106,7 @@ class _RowTable:
     win: np.ndarray
     dwin: np.ndarray              # 0 at boundary rows
     member: np.ndarray            # a collocation row, not a soft boundary row
-    owned: np.ndarray             # the row's workspace is its lowest-indexed holder
+    owned: np.ndarray             # the row's network is its lowest-indexed holder
     rhs: np.ndarray               # f at collocation rows, the soft targets at boundary rows
     cons: np.ndarray | None
     dcons: np.ndarray | None
@@ -114,24 +117,6 @@ class _RowTable:
     # dst repeats within a layer. member_routes are the collocation rows'.
     routes: list
     member_routes: list
-
-
-@dataclass
-class SubdomainWorkspace:
-    """One network's rows, `rows` of its state's row table. Every array is
-    a view into that table, not a copy; point_ids and x cover the
-    n_members member rows, which come first."""
-
-    index: int                    # subdomain j
-    rows: slice
-    row_ids: np.ndarray
-    row_x: np.ndarray
-    inputs: np.ndarray
-    n_members: int
-
-    def __post_init__(self):
-        n = self.n_members
-        self.point_ids, self.x = self.row_ids[:n], self.row_x[:n]
 
 
 @dataclass
@@ -166,8 +151,7 @@ def _memo(state, keep_tapes=True, background=None):
 @dataclass
 class _GlobalTables:
     x: np.ndarray
-    interior_mask: np.ndarray
-    overlap_mask: np.ndarray
+    interior_mask: np.ndarray     # held by one subdomain; the rest are overlap points
     n_bc: int                     # soft boundary points; 0 under a hard constraint
     bc_weight: float
 
@@ -183,7 +167,6 @@ class FbpinnState:
     communication_interval: int
     round: int
     step: int
-    workspaces: list
     rows: _RowTable
     tables: _GlobalTables
     cache: OverlapCache | None
@@ -225,7 +208,7 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         raise ValueError("problem and decomposition domains differ")
     if not isinstance(communication_interval, (int, np.integer)) or communication_interval < 1:
         raise ValueError(f"communication_interval must be >= 1, got {communication_interval!r}")
-    workspaces, rows, tables = _workspaces(problem, decomposition, points)
+    rows, tables = _row_tables(problem, decomposition, points)
     n_sub = decomposition.n_subdomains
     params = [init_params(layer_sizes, master_seed + j) for j in range(1, n_sub + 1)]
     optimizers = [make_optimizer(optimizer, learning_rate) for _ in range(n_sub)]
@@ -239,17 +222,16 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         params=params, coarse_params=coarse_params,
         optimizers=optimizers, coarse_optimizer=coarse_optimizer,
         communication_interval=int(communication_interval), round=0, step=0,
-        workspaces=workspaces, rows=rows, tables=tables, cache=None,
+        rows=rows, tables=tables, cache=None,
     )
     state.cache = refresh_overlap_cache(state)
     return state
 
 
-def _workspaces(problem, decomposition, points):
-    """Build the row table, every subdomain's workspace (views into it) and
-    the global tables from one window_table pass over the collocation
-    points, then the soft boundary points: (workspaces, rows, tables). A
-    point held by more than one subdomain is an overlap point."""
+def _row_tables(problem, decomposition, points):
+    """(rows, tables): the row table and the global tables, from one
+    window_table pass over the collocation points, then the soft boundary
+    points. A point held by more than one subdomain is an overlap point."""
     pts = _collocation_in_domain(decomposition.domain, points)
     n_points = len(pts)
     hard = problem.constraint.kind == "hard"
@@ -263,19 +245,18 @@ def _workspaces(problem, decomposition, points):
             if not problem.domain.contains(xb):
                 raise ValueError(f"soft boundary point {xb!r} outside the domain")
 
-    # Row id k is point k of all_x, so each workspace's rows, in ascending
+    # Row id k is point k of all_x, so each network's rows, in ascending
     # row id, are its member collocation points, then its boundary points.
     all_x = np.concatenate([pts, bc_x])
     table = window_table(decomposition, all_x)
     bounds, row_ids, win, dwin = table.bounds, table.ids, table.win, table.dwin
     member = row_ids < n_points
-    # each workspace's n_members[k] member rows come first
-    n_members = np.diff(np.concatenate([[0], np.cumsum(member)])[bounds])
-    empty = [int(j) + 1 for j in np.nonzero(n_members == 0)[0]]
+    # each network's member rows come first
+    member_ends = bounds[:-1] + np.diff(np.concatenate([[0], np.cumsum(member)])[bounds])
+    empty = [int(j) + 1 for j in np.nonzero(member_ends == bounds[:-1])[0]]
     if empty:
         raise ValueError(f"subdomains {index_list(empty)} hold no collocation point")
-    holders = np.bincount(row_ids, minlength=len(all_x))
-    interior_mask, overlap_mask = holders[:n_points] == 1, holders[:n_points] > 1
+    interior_mask = np.bincount(row_ids, minlength=len(all_x))[:n_points] == 1
     x = all_x[row_ids]
     dwin[~member] = 0.0
     inputs, scale = _norm_inputs(decomposition, bounds, x)
@@ -309,13 +290,10 @@ def _workspaces(problem, decomposition, points):
         member_routes.append((src[:m], dst[:m]))
 
     t = _RowTable(
-        row_ids=row_ids, x=x, inputs=inputs, scale=scale, win=win, dwin=dwin, member=member,
-        owned=owned, rhs=rhs, cons=cons, dcons=dcons, dr_du=dr_du, dr_ddu=dr_ddu, routes=routes,
-        member_routes=member_routes)
-    workspaces = [
-        SubdomainWorkspace(j, slice(lo, hi), t.row_ids[lo:hi], t.x[lo:hi], t.inputs[lo:hi], int(m))
-        for j, (lo, hi, m) in enumerate(zip(bounds, bounds[1:], n_members), start=1)]
-    return workspaces, t, _GlobalTables(pts, interior_mask, overlap_mask, len(bc_x), bc_weight)
+        bounds=bounds, member_ends=member_ends, row_ids=row_ids, x=x, inputs=inputs,
+        scale=scale, win=win, dwin=dwin, member=member, owned=owned, rhs=rhs, cons=cons,
+        dcons=dcons, dr_du=dr_du, dr_ddu=dr_ddu, routes=routes, member_routes=member_routes)
+    return t, _GlobalTables(pts, interior_mask, len(bc_x), bc_weight)
 
 
 def _forwards(state, order, memo):
@@ -324,9 +302,9 @@ def _forwards(state, order, memo):
     with np.errstate(invalid="ignore", over="ignore"):
         for j in order:
             if j not in memo.tapes:
-                ws = state.workspaces[j - 1]
-                u, du, tape = _forward(state.params[j - 1], ws.inputs)
-                memo.u[ws.rows], memo.du[ws.rows] = u, du
+                rows = slice(*state.rows.bounds[j - 1:j + 1])
+                u, du, tape = _forward(state.params[j - 1], state.rows.inputs[rows])
+                memo.u[rows], memo.du[rows] = u, du
                 memo.tapes[j] = tape if memo.keep_tapes else None
 
 
@@ -414,13 +392,15 @@ def _active_rows(state, order, memo=None):
     call; and each network's (start, end of members, end) within them."""
     found = memo.active.get(order) if memo is not None else None
     if found is None:
-        wss = [state.workspaces[j - 1] for j in order]
-        if all(a.rows.stop == b.rows.start for a, b in zip(wss, wss[1:])):
-            rows = slice(wss[0].rows.start, wss[-1].rows.stop)
+        t, k = state.rows, np.asarray(order) - 1
+        lo, mid, hi = t.bounds[k], t.member_ends[k], t.bounds[k + 1]
+        if (lo[1:] == hi[:-1]).all():
+            rows = slice(int(lo[0]), int(hi[-1]))
         else:
-            rows = np.concatenate([np.arange(ws.rows.start, ws.rows.stop) for ws in wss])
-        ends = np.cumsum([0] + [len(ws.row_ids) for ws in wss])
-        found = rows, [(lo, lo + len(ws.x), hi) for ws, lo, hi in zip(wss, ends, ends[1:])]
+            rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+        ends = np.concatenate([[0], np.cumsum(hi - lo)])
+        found = rows, list(zip(ends[:-1].tolist(), (ends[:-1] + mid - lo).tolist(),
+                               ends[1:].tolist()))
         if memo is not None:
             memo.active[order] = found
     return found
@@ -474,7 +454,7 @@ def _loss_split(state, cache, memo=None):
         squared = r * r
         split = LossBreakdown(float(np.sum(squared) / n) + boundary,
                               float(np.sum(squared[t.interior_mask]) / n),
-                              float(np.sum(squared[t.overlap_mask]) / n),
+                              float(np.sum(squared[~t.interior_mask]) / n),
                               boundary)
     return split, r
 
@@ -509,9 +489,10 @@ def local_loss(state, j, cache=None):
     """Subdomain j's training loss: squared residuals over its member points,
     scaled by the global point count, plus the penalty of its soft boundary
     rows, with foreign contributions taken from the cache."""
+    rows, spans = _active_rows(state, (j,))
     with np.errstate(invalid="ignore", over="ignore"):
-        u, du = eval_batch(state.params[j - 1], state.workspaces[j - 1].inputs)
-    (loss, _, _), = _loss_terms(state, *_active_rows(state, (j,)),
+        u, du = eval_batch(state.params[j - 1], state.rows.inputs[rows])
+    (loss, _, _), = _loss_terms(state, rows, spans,
                                 cache if cache is not None else state.cache, u, du)
     return float(loss)
 
@@ -525,10 +506,10 @@ def _step(state, order, memo):
     rows, spans = _active_rows(state, order, memo)
     terms = _loss_terms(state, rows, spans, state.cache, memo.u[rows], memo.du[rows])
     for j, term in zip(order, terms):
-        ws = state.workspaces[j - 1]
-        forward = memo.u[ws.rows], memo.du[ws.rows], memo.tapes.pop(j)
+        own = slice(*state.rows.bounds[j - 1:j + 1])
+        forward = memo.u[own], memo.du[own], memo.tapes.pop(j)
         try:
-            _, grad = loss_gradient(state.params[j - 1], ws.inputs,
+            _, grad = loss_gradient(state.params[j - 1], state.rows.inputs[own],
                                     lambda u, du, term=term: term, forward,
                                     memo.grads[j - 1])
         except NumericalFailureError as err:
@@ -732,12 +713,11 @@ def _lone_state(problem, points, params, optimizer):
     its inputs are normalized exactly as coarse_norm normalizes them."""
     dom = problem.domain
     decomposition = Decomposition(dom, np.array([dom.a]), np.array([dom.b]), 0.0, None)
-    workspaces, rows, tables = _workspaces(problem, decomposition, points)
+    rows, tables = _row_tables(problem, decomposition, points)
     return FbpinnState(
         problem=problem, decomposition=decomposition, params=[params],
         coarse_params=None, optimizers=[optimizer], coarse_optimizer=None,
-        communication_interval=1, round=0, step=0,
-        workspaces=workspaces, rows=rows, tables=tables,
+        communication_interval=1, round=0, step=0, rows=rows, tables=tables,
         cache=OverlapCache(np.zeros(len(rows.x)), np.zeros(len(rows.x))))
 
 

@@ -161,7 +161,7 @@ def loss_split(state, workspaces, cache):
         squared = r * r
         return LossBreakdown(float(np.sum(squared) / n) + boundary,
                              float(np.sum(squared[t.interior_mask]) / n),
-                             float(np.sum(squared[t.overlap_mask]) / n),
+                             float(np.sum(squared[~t.interior_mask]) / n),
                              boundary)
 
 

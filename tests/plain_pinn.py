@@ -2,7 +2,7 @@
 
 An independent copy of full-batch training of one network u(x_hat) on
 the whole domain under the problem's hard or soft constraint, written
-without the decomposed trainer's workspaces, caches or windows: its own
+without the decomposed trainer's row table, caches or windows: its own
 residual, penalty, loss closure and relative L2 error. It uses only the
 network's loss_gradient and value-only pass and the optimizer, so the
 decomposed trainer's one-subdomain states can be checked against it.

@@ -358,6 +358,28 @@ def test_steps_that_leave_a_partial_round_exit_2(tmp_path, capsys, command, patc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("subdomains, fraction, reason", [
+    (17, 2e-15, "leaves subdomains 7 and 8 without an overlap"),    # they only touch
+    (2, 1e-17, "must exceed the spacing"),                          # width rounds to h
+    (17, 1e-15, "leaves subdomains 1 and 2 without an overlap"),    # a gap between them
+])
+def test_overlap_lost_to_rounding_exits_2(tmp_path, capsys, recwarn, command, subdomains,
+                                          fraction, reason):
+    cfg = write_config(tmp_path,
+                       decomposition={"subdomains": subdomains, "overlap_fraction": fraction},
+                       training={"collocation_points": 800},
+                       sweep={"subdomains": [subdomains], "communication_intervals": [1]})
+    out = tmp_path / "never"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: decomposition.overlap_fraction = {fraction!r} with "
+                          f"{subdomains} subdomains: subdomain width ")
+    assert reason in err and err.count("\n") == 1
+    assert not recwarn.list
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, problem, message", [
     # b - a overflows to inf
     ("run", {"domain": [-1e308, 1e308]},
@@ -409,7 +431,9 @@ def tiny_configs(draw):
     data = {
         "problem": {"omega": 3.0,
                     "constraint": draw(st.sampled_from(["hard", "soft"]))},
-        "decomposition": {"subdomains": draw(st.integers(1, 8))},
+        "decomposition": {"subdomains": draw(st.integers(1, 8)),
+                          "overlap_fraction": draw(st.sampled_from([0.7, 1e-17])
+                                                   | st.floats(0.05, 0.95))},
         "network": {"hidden_layers": 1, "hidden_width": 4},
         "training": {"optimizer": draw(st.sampled_from(["adam", "sgd"])),
                      "learning_rate": draw(st.sampled_from([1e-3, 1e300])),

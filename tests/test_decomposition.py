@@ -146,6 +146,20 @@ def test_width_constructor_bounds():
     assert one.subdomains[0].contains(4.0)
 
 
+@pytest.mark.parametrize("dom, n, fraction, message", [
+    # the width rounds down to the spacing
+    (Interval(-2 * np.pi, 2 * np.pi), 2, 1e-17, "must exceed the spacing"),
+    # subdomains 7 and 8 only touch, 1 and 2 have a gap between them
+    (Interval(-2 * np.pi, 2 * np.pi), 17, 2e-15, "leaves subdomains 7 and 8 without"),
+    (Interval(-2 * np.pi, 2 * np.pi), 17, 1e-15, "leaves subdomains 1 and 2 without"),
+    # neighbours overlap, but every ramp rounds to width 0
+    (Interval(-2 * np.pi, 1 - 2 * np.pi), 3, 2e-16, "leaves subdomains 1 and 2 without"),
+])
+def test_an_overlap_lost_to_rounding_is_a_build_error(dom, n, fraction, message):
+    with pytest.raises(ValueError, match=message):
+        build_decomposition(dom, n, fraction)
+
+
 def test_window_table_matches_scalar_window():
     dec = build_decomposition(Interval(-2.0, 6.0), 6, 0.6)
     pts = np.linspace(-2.0, 6.0, 101)

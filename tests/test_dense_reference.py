@@ -3,7 +3,7 @@
 The reference evaluates every network at every point (row-major oracle),
 weights it by a dense J x N window matrix computed from the cosine-ramp
 definition, takes the derivative by the product rule and the losses as
-plain mean squares. It shares no code with the workspaces, routes, owner
+plain mean squares. It shares no code with the row table, routes, owner
 split, overlap cache or window tables of fbpinn.
 """
 

@@ -47,8 +47,14 @@ def same_params(snap, params_list):
                for a, b in zip(s, p.arrays()))
 
 
+def rows_of(state, j):
+    """Network j's rows of the row table, and its member rows."""
+    t = state.rows
+    return slice(t.bounds[j - 1], t.bounds[j]), slice(t.bounds[j - 1], t.member_ends[j - 1])
+
+
 def manual_raw_global(state, x):
-    """Window-weighted sum recomputed from scratch, no workspaces."""
+    """Window-weighted sum recomputed from scratch, no row table."""
     value = dvalue = 0.0
     if state.coarse_params is not None:
         c, hw = state.coarse_norm
@@ -130,9 +136,9 @@ def test_cache_background_zero_without_neighbors():
 
 def test_cache_holds_neighbor_weighted_sum():
     state = small_state(n_sub=2, n_pts=60, seed=5)
-    ws = state.workspaces[0]
-    values, dvalues = state.cache.values[ws.rows], state.cache.dvalues[ws.rows]
-    for pos, x in enumerate(ws.x):
+    rows, members = rows_of(state, 1)
+    values, dvalues = state.cache.values[rows], state.cache.dvalues[rows]
+    for pos, x in enumerate(state.rows.x[members]):
         w2, dw2 = window(state.decomposition, 2, x)
         if w2 == 0.0:
             assert values[pos] == 0.0
@@ -167,15 +173,15 @@ def test_local_loss_manual_two_subdomains():
     state = small_state(n_sub=2, n_pts=50, seed=3)
     prob = state.problem
     n = len(state.tables.x)
-    ws = state.workspaces[0]
+    rows, members = rows_of(state, 1)
     sd = state.decomposition.subdomains[0]
     c, hw = sd.center, 0.5 * sd.width
     acc = 0.0
-    for pos, x in enumerate(ws.x):
+    for pos, x in enumerate(state.rows.x[members]):
         w1, dw1 = window(state.decomposition, 1, x)
         u, du = eval_batch(state.params[0], [(x - c) / hw])
-        v = w1 * u[0] + state.cache.values[ws.rows][pos]
-        dv = dw1 * u[0] + w1 * du[0] / hw + state.cache.dvalues[ws.rows][pos]
+        v = w1 * u[0] + state.cache.values[rows][pos]
+        dv = dw1 * u[0] + w1 * du[0] / hw + state.cache.dvalues[rows][pos]
         cm = float(prob.constraint.multiplier(x))
         dcm = float(prob.constraint.multiplier_prime(x))
         r = dcm * v + cm * dv - float(prob.rhs(x))
@@ -191,7 +197,7 @@ def test_local_gradient_matches_finite_differences(kind):
     make = {"hard": small_state, "soft": soft_state,
             "soft-multi": soft_multi_state, "coarse": coarse_state}[kind]
     state = make(n_sub=3, n_pts=40, seed=4)
-    inputs = state.workspaces[1].inputs
+    inputs = state.rows.inputs[rows_of(state, 2)[0]]
     u, du = eval_batch(state.params[1], inputs)
     (terms,) = training._loss_terms(state, *training._active_rows(state, (2,)),
                                     state.cache, u, du)
@@ -343,14 +349,15 @@ def test_create_state_tables_agree_with_classify_points(data, n_sub, overlap, so
     state = create_state(prob, dec, pts, layer_sizes=[1, 2, 1])
     interior = np.zeros(len(pts), dtype=bool)
     overlapping = np.zeros(len(pts), dtype=bool)
-    for j, ws in enumerate(state.workspaces):
+    for j in range(state.n_subdomains):
         interior[sets.interior[j]] = True
         overlapping[sets.overlap[j]] = True
-        assert np.array_equal(ws.point_ids, sets.members[j])
-        assert np.array_equal(state.tables.overlap_mask[ws.point_ids],
-                              np.isin(ws.point_ids, sets.overlap[j]))
+        point_ids = state.rows.row_ids[rows_of(state, j + 1)[1]]
+        assert np.array_equal(point_ids, sets.members[j])
+        assert np.array_equal(~state.tables.interior_mask[point_ids],
+                              np.isin(point_ids, sets.overlap[j]))
     assert np.array_equal(state.tables.interior_mask, interior)
-    assert np.array_equal(state.tables.overlap_mask, overlapping)
+    assert np.array_equal(~state.tables.interior_mask, overlapping)
 
 
 def test_numerical_failure_carries_location_and_report():
@@ -537,12 +544,11 @@ def test_coarse_network_contributes_to_evaluation():
     # the derivative enters through the residual
     assert global_loss(state).total == pytest.approx(manual_global_loss(state), rel=1e-12)
     # cache background equals the coarse term at interior points
-    ws = state.workspaces[0]
-    interior = ~state.tables.overlap_mask[ws.point_ids]
+    members = rows_of(state, 1)[1]
+    interior = state.tables.interior_mask[state.rows.row_ids[members]]
     c, hw = state.coarse_norm
-    ug, _ = eval_batch(state.coarse_params, (ws.x[interior] - c) / hw)
-    members = state.cache.values[ws.rows][:len(ws.x)]
-    np.testing.assert_allclose(members[interior], ug, rtol=1e-13)
+    ug, _ = eval_batch(state.coarse_params, (state.rows.x[members][interior] - c) / hw)
+    np.testing.assert_allclose(state.cache.values[members][interior], ug, rtol=1e-13)
 
 
 def test_coarse_split_identity_and_coherence():
@@ -616,12 +622,12 @@ def test_boundary_points_are_rows_of_every_holder(n_sub):
     state = soft_multi_state(n_sub=n_sub)
     n = len(state.tables.x)
     holders, owners = {}, {}
-    for ws in state.workspaces:
-        n_own = len(ws.x)
-        for k, owned in zip(ws.row_ids[n_own:] - n, state.rows.owned[ws.rows][n_own:]):
-            holders.setdefault(int(k), []).append(ws.index)
+    for j in range(1, n_sub + 1):
+        boundary = slice(state.rows.member_ends[j - 1], state.rows.bounds[j])
+        for k, owned in zip(state.rows.row_ids[boundary] - n, state.rows.owned[boundary]):
+            holders.setdefault(int(k), []).append(j)
             if owned:
-                owners.setdefault(int(k), []).append(ws.index)
+                owners.setdefault(int(k), []).append(j)
     for k, xb in enumerate(MULTI.points):
         want = [sd.index for sd in state.decomposition.subdomains if sd.contains(xb)]
         assert holders[k] == want
@@ -760,10 +766,11 @@ def test_row_pass_matches_the_per_network_reference(constraint, kind, coarse, p)
     train(state, sched, 5, record_interval=2, l2_points=50)
     workspaces, cache = per_network.train_reference(twin, sched, 5)
     assert same_params(snapshot(twin.params), state.params)
-    for ws, ref, values, dvalues in zip(state.workspaces, workspaces, *cache):
-        assert np.array_equal(ws.row_ids, ref.row_ids)
-        assert np.array_equal(state.cache.values[ws.rows], values)
-        assert np.array_equal(state.cache.dvalues[ws.rows][:len(dvalues)], dvalues)
+    for j, ref, values, dvalues in zip(range(1, 5), workspaces, *cache):
+        rows = rows_of(state, j)[0]
+        assert np.array_equal(state.rows.row_ids[rows], ref.row_ids)
+        assert np.array_equal(state.cache.values[rows], values)
+        assert np.array_equal(state.cache.dvalues[rows][:len(dvalues)], dvalues)
     assert not state.cache.dvalues[~state.rows.member].any()
     for j in range(1, 5):
         assert local_loss(state, j) == per_network.local_loss(twin, workspaces, cache, j)
@@ -845,8 +852,8 @@ def test_one_coarse_forward_per_train_call_on_every_level0_row(monkeypatch, cons
     alone = np.ones(len(state.rows.x), dtype=bool)
     for _, dst in state.rows.routes:
         alone[dst] = False
-    for ws in state.workspaces:
-        assert alone[ws.rows].any()
+    for j in range(1, state.n_subdomains + 1):
+        assert alone[rows_of(state, j)[0]].any()
     assert state.cache.values[alone].tobytes() == u[state.rows.row_ids[alone]].tobytes()
 
 
