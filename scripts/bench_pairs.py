@@ -4,7 +4,7 @@
     python scripts/bench_pairs.py REV --workload converge-j16-p1 [--pairs 10]
                                   [--seconds 40] [--seed 0]
 
-Checks REV out with compare_artifacts' `git worktree` helper under a
+Exports REV with compare_artifacts' `git archive` helper into a
 temporary directory. Each pair runs `perfbench/run.py --workload W
 --seed S --seconds T --trace 0` once in each tree, with that tree's own
 perfbench and sources; pair k uses seed S + k, and the two trees take
@@ -87,9 +87,9 @@ def bench_pairs(rev, workload, pairs, seconds, seed, repo=REPO):
     metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
     runs = {"rev": [], "work": []}
     failed = 0
-    with tempfile.TemporaryDirectory() as tmp, \
-            _compare_artifacts().worktree(repo, rev, Path(tmp) / "tree") as base:
-        trees = {"rev": base, "work": Path(repo)}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"rev": _compare_artifacts().export(repo, rev, Path(tmp) / "tree"),
+                 "work": Path(repo)}
         for k in range(pairs):
             order = ("rev", "work") if k % 2 == 0 else ("work", "rev")
             for side in order:

@@ -3,7 +3,7 @@
 
     python scripts/compare_artifacts.py REV
 
-Checks REV out with `git worktree` under a temporary directory, runs one
+Exports REV with `git archive` into a temporary directory, runs one
 fixed matrix of small CLI configs with each tree's sources, and prints
 every artifact file as "identical" or "differs". A differing CSV or JSON
 file names how many of its rows (CSV lines, JSON leaf values) changed
@@ -16,11 +16,12 @@ runs have one boundary point.
 """
 
 import argparse
-import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -163,25 +164,23 @@ def compare_outputs(out_a, out_b, label_a, label_b):
     return differing
 
 
-@contextlib.contextmanager
-def worktree(repo, rev, path):
-    """rev of repo checked out with `git worktree` at path, for the
-    duration of the with block."""
-    subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach",
-                    "--quiet", str(path), rev], check=True)
-    try:
-        yield path
-    finally:
-        subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force",
-                        str(path)], check=True)
+def export(repo, rev, path):
+    """Extract rev's files of repo to path with `git archive`, which leaves
+    no trace in repo; tarfile's "data" filter refuses links and paths that
+    leave path. Returns path."""
+    archive = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", rev],
+                             check=True, stdout=subprocess.PIPE).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(path, filter="data")
+    return path
 
 
 def compare(rev, repo=REPO, matrix=MATRIX):
     """Run matrix at rev and in repo's working tree and print the
     comparison; returns the number of files and exit codes that differ."""
     with tempfile.TemporaryDirectory() as tmp:
-        with worktree(repo, rev, Path(tmp) / "tree") as base:
-            codes_rev = run_matrix(base, Path(tmp) / "rev", matrix)
+        base = export(repo, rev, Path(tmp) / "tree")
+        codes_rev = run_matrix(base, Path(tmp) / "rev", matrix)
         codes_work = run_matrix(Path(repo), Path(tmp) / "work", matrix)
         differing = 0
         for name, _, _ in matrix:

@@ -108,10 +108,14 @@ class _RowTable:
     member: np.ndarray            # a collocation row, not a soft boundary row
     owned: np.ndarray             # the row's network is its lowest-indexed holder
     rhs: np.ndarray               # f at collocation rows, the soft targets at boundary rows
-    cons: np.ndarray | None
-    dcons: np.ndarray | None
-    dr_du: np.ndarray             # d(residual)/du at collocation rows
-    dr_ddu: np.ndarray            # d(residual)/d(du) at collocation rows
+    # A soft constraint's (c, c') is (1, 0) at the collocation rows and
+    # (0, 1) at its boundary rows, so c'v + cv' - f is v' - f there and
+    # v - target here.
+    cons: np.ndarray
+    dcons: np.ndarray
+    dr_du: np.ndarray             # d(residual)/du
+    dr_ddu: np.ndarray            # d(residual)/d(du)
+    gain: np.ndarray              # d(loss)/dr = gain r: 2/n, 2 weight/n_bc at boundary rows
     # Neighbor routes as (src rows, dst rows) layers, added in order: a
     # row's k-th source in ascending subdomain order is in layer k, so no
     # dst repeats within a layer. member_routes are the collocation rows'.
@@ -127,25 +131,26 @@ class _ForwardMemo:
     while tapes holds j: the tape of that forward (None when keep_tapes is
     off, as in a memo that only evaluates), dropped when network j's
     optimizer steps. background is the frozen level-0 coarse network's
-    share of every cache (_level0_background), when there is one.
+    share of every cache (_level0_background), computed before any local
+    forward: run after them, it would sit on top of their tapes.
     active[order] holds _active_rows for the networks in order. grads[j - 1]
     receives network j's gradient at each of its steps: rows of one
     (J, parameters) matrix, allocated with a memo that keeps tapes."""
 
     u: np.ndarray
     du: np.ndarray
+    background: tuple
     keep_tapes: bool = True
     tapes: dict = field(default_factory=dict)
-    background: tuple | None = None
     active: dict = field(default_factory=dict)
     grads: list | None = None
 
 
-def _memo(state, keep_tapes=True, background=None):
+def _memo(state, keep_tapes=True):
     n_rows = len(state.rows.x)
     grads = ParamGradient.rows_like(state.params[0], state.n_subdomains) if keep_tapes else None
-    return _ForwardMemo(np.empty(n_rows), np.empty(n_rows), keep_tapes,
-                        background=background, grads=grads)
+    return _ForwardMemo(np.empty(n_rows), np.empty(n_rows), _level0_background(state),
+                        keep_tapes, grads=grads)
 
 
 @dataclass
@@ -234,16 +239,18 @@ def _row_tables(problem, decomposition, points):
     points. A point held by more than one subdomain is an overlap point."""
     pts = _collocation_in_domain(decomposition.domain, points)
     n_points = len(pts)
-    hard = problem.constraint.kind == "hard"
-    if hard:
+    constraint = problem.constraint
+    if constraint.kind == "hard":
         bc_x, bc_targets, bc_weight = np.zeros(0), np.zeros(0), 0.0
+        multiplier, multiplier_prime = constraint.multiplier, constraint.multiplier_prime
     else:
-        bc_x = np.asarray(problem.constraint.points, dtype=float)
-        bc_targets = np.asarray(problem.constraint.targets, dtype=float)
-        bc_weight = float(problem.constraint.weight)
+        bc_x = np.asarray(constraint.points, dtype=float)
+        bc_targets = np.asarray(constraint.targets, dtype=float)
+        bc_weight = float(constraint.weight)
         for xb in bc_x:
             if not problem.domain.contains(xb):
                 raise ValueError(f"soft boundary point {xb!r} outside the domain")
+        multiplier, multiplier_prime = np.ones_like, np.zeros_like
 
     # Row id k is point k of all_x, so each network's rows, in ascending
     # row id, are its member collocation points, then its boundary points.
@@ -261,13 +268,10 @@ def _row_tables(problem, decomposition, points):
     dwin[~member] = 0.0
     inputs, scale = _norm_inputs(decomposition, bounds, x)
     rhs = np.concatenate([np.asarray(problem.rhs(pts), dtype=float), bc_targets])[row_ids]
-    if hard:
-        cons = np.asarray(problem.constraint.multiplier(pts), dtype=float)[row_ids]
-        dcons = np.asarray(problem.constraint.multiplier_prime(pts), dtype=float)[row_ids]
-        dr_du, dr_ddu = dcons * win + cons * dwin, cons * (win * scale)
-    else:
-        cons = dcons = None
-        dr_du, dr_ddu = dwin, win * scale
+    cons = np.concatenate([multiplier(pts), np.zeros(len(bc_x))])[row_ids]
+    dcons = np.concatenate([multiplier_prime(pts), np.ones(len(bc_x))])[row_ids]
+    dr_du, dr_ddu = dcons * win + cons * dwin, cons * (win * scale)
+    gain = np.where(member, 2.0 / n_points, 2.0 * bc_weight / max(len(bc_x), 1))
 
     # One stable sort by row id puts each point's holders together, in
     # ascending subdomain order. A row's k-th other holder is its layer-k
@@ -292,7 +296,8 @@ def _row_tables(problem, decomposition, points):
     t = _RowTable(
         bounds=bounds, member_ends=member_ends, row_ids=row_ids, x=x, inputs=inputs,
         scale=scale, win=win, dwin=dwin, member=member, owned=owned, rhs=rhs, cons=cons,
-        dcons=dcons, dr_du=dr_du, dr_ddu=dr_ddu, routes=routes, member_routes=member_routes)
+        dcons=dcons, dr_du=dr_du, dr_ddu=dr_ddu, gain=gain, routes=routes,
+        member_routes=member_routes)
     return t, _GlobalTables(pts, interior_mask, len(bc_x), bc_weight)
 
 
@@ -318,18 +323,20 @@ def _dvalue(t, rows, u, du):
 
 
 def _level0_background(state):
-    """The frozen coarse network's share of every cache, or None without
-    one: its value at every row of the row table and its derivative at the
+    """The frozen coarse network's share of every cache, zero without one:
+    its value at every row of the row table and its derivative at the
     collocation rows, each added to zero. Its inputs are every collocation
     point, then every soft boundary point, normalized by coarse_norm, so
     row id k is its input k."""
-    if state.coarse_params is None:
-        return None
     t = state.rows
+    if state.coarse_params is None:
+        # a read-only view: a refresh's copy is the only zero array made
+        zero = np.broadcast_to(0.0, len(t.x))
+        return zero, zero
+    values, dvalues = np.zeros(len(t.x)), np.zeros(len(t.x))
     x = np.empty(len(state.tables.x) + state.tables.n_bc)
     x[t.row_ids] = t.x
     center, halfwidth = state.coarse_norm
-    values, dvalues = np.zeros(len(t.x)), np.zeros(len(t.x))
     with np.errstate(invalid="ignore", over="ignore"):
         u, du, _ = _forward(state.coarse_params, (x - center) / halfwidth)
         values += u[t.row_ids]
@@ -340,16 +347,12 @@ def _level0_background(state):
 
 def refresh_overlap_cache(state, memo=None):
     """Recompute every subdomain's frozen background from current parameters:
-    the level-0 coarse network's share (the memo's, when it holds one),
-    then one contribution pass over every row and each route layer's
-    scatter, so each row sums its sources in ascending order."""
+    a copy of the memo's level-0 background, then one contribution pass
+    over every row and each route layer's scatter, so each row sums its
+    sources in ascending order."""
     t = state.rows
     memo = memo if memo is not None else _memo(state, keep_tapes=False)
-    background = memo.background if memo.background is not None else _level0_background(state)
-    if background is None:
-        values, dvalues = np.zeros(len(t.x)), np.zeros(len(t.x))
-    else:
-        values, dvalues = background[0].copy(), background[1].copy()
+    values, dvalues = memo.background[0].copy(), memo.background[1].copy()
     _forwards(state, range(1, state.n_subdomains + 1), memo)
     with np.errstate(invalid="ignore", over="ignore"):
         contrib = t.win * memo.u
@@ -362,27 +365,24 @@ def refresh_overlap_cache(state, memo=None):
 
 
 def _residual(t, rows, u, du, cache):
-    """Constrained residual at rows of the row table t (a slice or an index)
-    from each row's network (u, du) there plus the frozen background in
-    cache: c'v + cv' - f under a hard constraint; v' - f at the collocation
-    rows and v - target at the boundary rows under a soft one."""
+    """Constrained residual c'v + cv' - f at rows of the row table t (a
+    slice or an index) from each row's network (u, du) there plus the
+    frozen background in cache."""
     value = t.win[rows] * u
     value += cache.values[rows]
     dvalue = _dvalue(t, rows, u, du)
     dvalue += cache.dvalues[rows]
-    if t.cons is not None:
-        value *= t.dcons[rows]
-        dvalue *= t.cons[rows]
-        value += dvalue
-    else:
-        np.copyto(value, dvalue, where=t.member[rows])
+    value *= t.dcons[rows]
+    dvalue *= t.cons[rows]
+    value += dvalue
     value -= t.rhs[rows]
     return value
 
 
 def _penalty(tables, err):
-    """Soft boundary penalty of the errors err at boundary rows."""
-    return tables.bc_weight * (err @ err) / tables.n_bc
+    """Soft boundary penalty of the errors err at boundary rows (0 when
+    there are none)."""
+    return tables.bc_weight * err.dot(err) / max(tables.n_bc, 1)
 
 
 def _active_rows(state, order, memo=None):
@@ -420,18 +420,11 @@ def _loss_terms(state, rows, spans, cache, u, du):
         losses = []
         for lo, mid, hi in spans:
             rm = r[lo:mid]
-            loss = (rm @ rm) / n
-            if mid < hi:
-                loss = loss + _penalty(tables, r[mid:hi])
-            losses.append(loss)
-        if tables.n_bc:
-            bc = ~t.member[rows]
-            gu_bc = (2.0 * tables.bc_weight / tables.n_bc) * r[bc] * t.win[rows][bc]
-        gu = np.multiply(r, 2.0 / n, out=r)         # the residual's last use
+            # ndarray.dot: the same BLAS dot as @, with less call overhead
+            losses.append(rm.dot(rm) / n + _penalty(tables, r[mid:hi]))
+        gu = np.multiply(r, t.gain[rows], out=r)    # the residual's last use
         gd = gu * t.dr_ddu[rows]
         gu *= t.dr_du[rows]
-        if tables.n_bc:
-            gu[bc], gd[bc] = gu_bc, 0.0
     return [(loss, gu[lo:hi], gd[lo:hi]) for loss, (lo, _, hi) in zip(losses, spans)]
 
 
@@ -450,7 +443,7 @@ def _loss_split(state, cache, memo=None):
         owned = state.rows.owned
         by_row[state.rows.row_ids[owned]] = res[owned]
         r, err = by_row[:n], by_row[n:]
-        boundary = float(_penalty(t, err)) if t.n_bc else 0.0
+        boundary = float(_penalty(t, err))
         squared = r * r
         split = LossBreakdown(float(np.sum(squared) / n) + boundary,
                               float(np.sum(squared[t.interior_mask]) / n),
@@ -543,9 +536,9 @@ class _EvalGrid:
     """A point set's per-subdomain tables for value-only evaluation."""
 
     x: np.ndarray
-    cons: np.ndarray | None
-    entries: list          # per subdomain (rows of x, win, x_hat)
-    coarse_value: np.ndarray | None   # the coarse network is frozen in _train()
+    cons: np.ndarray | float     # the hard constraint's multiplier; 1.0 under a soft one
+    entries: list                # per subdomain (rows of x, win, x_hat)
+    coarse_value: np.ndarray | float   # 0.0 without a coarse network, frozen in _train()
 
 
 def _grid_shares(decomposition, x):
@@ -564,27 +557,21 @@ def _grid_shares(decomposition, x):
 
 
 def _make_eval_grid(state, x):
-    hard = state.problem.constraint.kind == "hard"
+    constraint = state.problem.constraint
     entries = _grid_shares(state.decomposition, x)
-    coarse_value = None
+    coarse_value = 0.0
     if state.coarse_params is not None:
         center, halfwidth = state.coarse_norm
         with np.errstate(invalid="ignore", over="ignore"):
             coarse_value = eval_values(state.coarse_params, (x - center) / halfwidth)
-    return _EvalGrid(
-        x=x,
-        cons=np.asarray(state.problem.constraint.multiplier(x), dtype=float) if hard else None,
-        entries=entries, coarse_value=coarse_value)
-
-
-def _constrained(grid, value):
-    return grid.cons * value if grid.cons is not None else value
+    cons = (np.asarray(constraint.multiplier(x), dtype=float)
+            if constraint.kind == "hard" else 1.0)
+    return _EvalGrid(x=x, cons=cons, entries=entries, coarse_value=coarse_value)
 
 
 def _grid_solution(state, grid):
     value = np.zeros(len(grid.x))
-    if grid.coarse_value is not None:
-        value += grid.coarse_value
+    value += grid.coarse_value
     # One pair of activation arrays for every subdomain's pass: allocating
     # and freeing a pair per subdomain let glibc trim and regrow the heap,
     # about 90 page faults each time.
@@ -593,15 +580,17 @@ def _grid_solution(state, grid):
     work = np.empty(size), np.empty(size)
     for params, (rows, win, x_hat) in zip(state.params, grid.entries):
         value[rows] += win * eval_values(params, x_hat, work)
-    return _constrained(grid, value)
+    value *= grid.cons
+    return value
 
 
 def solution_values(state, xs):
-    """Constrained solution at xs: the window-weighted sum of the local
-    networks plus the coarse term, times the hard constraint's multiplier
-    (the raw sum under a soft constraint)."""
+    """Constrained solution at xs, in xs's shape: the window-weighted sum of
+    the local networks plus the coarse term, times the hard constraint's
+    multiplier (the raw sum under a soft constraint)."""
+    x = np.asarray(xs, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        return _grid_solution(state, _make_eval_grid(state, np.asarray(xs, dtype=float)))
+        return _grid_solution(state, _make_eval_grid(state, x.reshape(-1))).reshape(x.shape)
 
 
 def _grid_l2(state, grid, exact):
@@ -642,20 +631,19 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
     final loss and L2 are returned unchecked (the coarse phase's: a blown-up
     coarse phase fails at the local phase's first step). A failure's step
     is numbered as the records are, from step_offset."""
-    for name, value in (("steps", steps), ("record_interval", record_interval)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    l2_points = l2_points if l2_points is not None else 10 * len(state.tables.x)
+    for name, value, least in (("steps", steps, 1), ("record_interval", record_interval, 1),
+                               ("l2_points", l2_points, 2)):
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
     report = report if report is not None else RunReport()
-    grid = _make_eval_grid(state, sample_collocation(
-        state.problem.domain,
-        l2_points if l2_points is not None else 10 * len(state.tables.x)))
+    grid = _make_eval_grid(state, sample_collocation(state.problem.domain, l2_points))
     exact = _exact_on_error_grid(state.problem, grid.x)
     started = time.perf_counter()
     # Each network's tangent forward is computed at most once per parameter
     # version and shared by the loss splits, the cache refresh and the next
-    # step's gradient. The level-0 background comes first: its forward,
-    # run after the local ones, would sit on top of their tapes.
-    memo = _memo(state, background=_level0_background(state))
+    # step's gradient.
+    memo = _memo(state)
     if report.initial_loss is None:
         report.initial_loss = _checked_loss(state, state.cache, memo).total
     final_step = state.step + steps
@@ -700,8 +688,8 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
     report.final_loss = final_loss
     report.final_l2, report.solution_pred = final["l2"], final["pred"]
     report.solution_x, report.solution_exact = grid.x, exact
-    if grid.coarse_value is not None:
-        report.solution_coarse = _constrained(grid, grid.coarse_value)
+    if state.coarse_params is not None:
+        report.solution_coarse = grid.cons * grid.coarse_value
     report.phases[phase] = report.phases.get(phase, 0) + steps
     return report
 

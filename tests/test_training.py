@@ -100,6 +100,15 @@ def test_evaluate_global_matches_manual_sum():
         solution_values(state, [DOM.b + 1.0])
 
 
+def test_solution_values_keep_the_shape_of_xs():
+    state = small_state(n_sub=3, n_pts=40, seed=2)
+    scalar = solution_values(state, 0.5)
+    assert scalar.shape == () and scalar == solution_values(state, [0.5])[0]
+    flat = solution_values(state, [0.5, -1.0])
+    row = solution_values(state, [[0.5, -1.0]])
+    assert row.shape == (1, 2) and np.array_equal(row[0], flat)
+
+
 def test_global_loss_zero_networks_equals_mean_squared_rhs():
     state = small_state(n_sub=4, n_pts=80)
     for p in state.params:
@@ -285,6 +294,19 @@ def test_train_validation_errors():
         train(state, parallel_schedule(2), 1, record_interval=0)
     with pytest.raises(ValueError):
         train(state, parallel_schedule(3), 1)
+
+
+@pytest.mark.parametrize("l2_points", [1, 0, 2.5])
+def test_train_rejects_too_few_l2_points(l2_points):
+    # a dense error grid needs two points; the error names the argument
+    state = small_state(n_sub=2)
+    snap = snapshot(state.params)
+    with pytest.raises(ValueError, match="l2_points must be >= 2"):
+        train(state, parallel_schedule(2), 1, l2_points=l2_points)
+    with pytest.raises(ValueError, match="l2_points must be >= 2"):
+        train_pinn(state.problem, state.tables.x, layer_sizes=[1, 4, 1], steps=1,
+                   l2_points=l2_points)
+    assert same_params(snap, state.params) and state.step == 0
 
 
 def test_create_state_validation():
@@ -775,6 +797,74 @@ def test_row_pass_matches_the_per_network_reference(constraint, kind, coarse, p)
     for j in range(1, 5):
         assert local_loss(state, j) == per_network.local_loss(twin, workspaces, cache, j)
     assert _stale_breakdown(state) == per_network.loss_split(twin, workspaces, cache)
+
+
+@st.composite
+def soft_constraints(draw, dec):
+    """1-4 boundary points, some on subdomain edges, some repeated, with
+    targets and a weight in [0.1, 10]."""
+    edges = sorted({float(e) for e in (*dec.lefts, *dec.rights)})
+    points = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(DOM.a, DOM.b)),
+                           min_size=1, max_size=4))
+    points += draw(st.lists(st.sampled_from(points), max_size=4 - len(points)))
+    targets = [draw(st.floats(-1.0, 1.0)) for _ in points]
+    return SoftConstraint(points=tuple(points), targets=tuple(targets),
+                          weight=draw(st.floats(0.1, 10.0)))
+
+
+def _same_loss_terms(state, twin, workspaces, cache, order):
+    # the row pass's loss, d(loss)/du and d(loss)/d(du) of every network in
+    # order against the per-network closures, at the current parameters
+    rows, spans = training._active_rows(state, order)
+    with np.errstate(invalid="ignore", over="ignore"):
+        forwards = [eval_batch(state.params[j - 1], workspaces[j - 1].inputs) for j in order]
+        terms = training._loss_terms(state, rows, spans, state.cache,
+                                     np.concatenate([u for u, _ in forwards]),
+                                     np.concatenate([du for _, du in forwards]))
+    for j, forward, (loss, gu, gd) in zip(order, forwards, terms):
+        fn = per_network._loss_fn(twin, workspaces[j - 1], cache[0][j - 1], cache[1][j - 1])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = fn(*forward)
+        assert loss == want[0]
+        assert np.array_equal(gu, want[1]) and np.array_equal(gd, want[2])
+
+
+@given(data=st.data(), n_sub=st.integers(2, 5), p=st.integers(1, 2),
+       kind=st.sampled_from(["parallel", "colored"]), coarse=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_random_soft_constraints_match_the_per_network_reference(data, n_sub, p, kind,
+                                                                 coarse):
+    # the soft constraint is row data, (c, c') = (1, 0) at collocation rows
+    # and (0, 1) at boundary rows: its loss terms and cache refreshes take
+    # the per-network reference's values bit for bit, wherever its points
+    # fall, before and after a few rounds
+    dec = build_decomposition(DOM, n_sub, 0.7)
+    prob = make_single_frequency(3.0, DOM).with_constraint(data.draw(soft_constraints(dec)))
+    pts = sample_collocation(DOM, 40)
+
+    def make():
+        return create_state(prob, dec, pts, layer_sizes=[1, 6, 1], master_seed=5,
+                            communication_interval=p,
+                            coarse_layer_sizes=[1, 6, 1] if coarse else None)
+
+    sched = (parallel_schedule(n_sub) if kind == "parallel" else
+             colored_schedule(n_sub, [list(range(1, n_sub + 1, 2)),
+                                      list(range(2, n_sub + 1, 2))]))
+    state, twin = make(), make()
+    for rounds in (0, 3):
+        if rounds:
+            train(state, sched, rounds, record_interval=2, l2_points=30)
+        workspaces, cache = per_network.train_reference(twin, sched, rounds)
+        assert same_params(snapshot(twin.params), state.params)
+        for fresh in (state.cache, refresh_overlap_cache(state)):
+            for j, values, dvalues in zip(range(1, n_sub + 1), *cache):
+                rows = rows_of(state, j)[0]
+                assert np.array_equal(fresh.values[rows], values)
+                assert np.array_equal(fresh.dvalues[rows][:len(dvalues)], dvalues)
+                assert not fresh.dvalues[rows][len(dvalues):].any()
+        for r in range(2):
+            order = tuple(sorted(active_set(sched, r).active))
+            _same_loss_terms(state, twin, workspaces, cache, order)
 
 
 def test_cache_after_coarse_run_matches_fresh_refresh():
