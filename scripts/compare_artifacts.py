@@ -61,6 +61,10 @@ MATRIX = [
     ("soft-coarse-j5", "coarse", _config(
         5, 30, problem={**TWO_FREQUENCY, "constraint": "soft", "soft_weight": 2.0},
         collocation_points=400, coarse={"enabled": True, "points": 200, "epochs": 40})),
+    ("colored-coarse-j6-p2", "coarse", _config(
+        6, 20, schedule={"kind": "colored", "colors": [[1, 3, 5], [2, 4, 6]]},
+        communication_interval=2, collocation_points=600,
+        coarse={"enabled": True, "points": 200, "epochs": 20})),
     ("sgd-coarse-j4", "coarse", _config(
         4, 30, optimizer="sgd", collocation_points=300,
         coarse={"enabled": True, "points": 100, "epochs": 40})),

@@ -180,15 +180,18 @@ def build_decomposition_from_width(domain, n_subdomains, width, overlap_fraction
 
     Widths above twice the spacing are rejected: they would put points in
     three subdomains at once, which the window and cache machinery does not
-    support. So are widths that rounding leaves without an overlap of
+    support. So are a NaN width, a lone subdomain's width below the
+    domain's, and widths that rounding leaves without an overlap of
     positive width, or with a ramp of width 0.
     """
     if not isinstance(n_subdomains, (int, np.integer)) or n_subdomains < 1:
         raise ValueError(f"n_subdomains must be a positive integer, got {n_subdomains!r}")
     n = int(n_subdomains)
     h = domain.width / n
+    if n == 1 and not width >= h:
+        raise ValueError(f"subdomain width {width} must cover the domain width {h}")
     if n > 1:
-        if width <= h:
+        if not width > h:
             raise ValueError(
                 f"subdomain width {width} must exceed the spacing {h} so neighbors overlap")
         if width > 2.0 * h:

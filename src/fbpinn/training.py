@@ -6,13 +6,13 @@ constraint. Training proceeds in rounds: every active subdomain takes p
 optimizer steps against its own parameters while all foreign contributions
 at shared points stay frozen in an overlap cache, then the cache is
 refreshed once. Inactive subdomains are never touched, so their parameters
-are bitwise stable across rounds. The frozen coarse network is level 0:
-window 1 on the whole domain, a source of every subdomain's cache like a
-neighbor, but never active. The plain PINN and the coarse
+are bitwise stable across rounds. The frozen coarse network is level 0,
+network 0 of the row table: window 1 on the whole domain, a source of every
+subdomain's cache like a neighbor, but never active. The plain PINN and the coarse
 phase train their one network as a one-subdomain state on the same step,
 loss and record code, without rounds or cache refreshes.
 
-Every subdomain's rows sit in one row table, so the per-row work of all
+Every network's rows sit in one row table, so the per-row work of all
 active networks (residual, loss derivatives, cache contributions, loss
 split) is one pass of whole-array operations. Only the forward and
 backward passes, each network's loss and its optimizer step run per
@@ -51,9 +51,10 @@ class LossBreakdown:
 class OverlapCache:
     """Frozen background of every row of the row table: the window-weighted
     sum of its sources' contributions, the level-0 coarse network's at every
-    row when one is present and each neighbor's at the rows they share
-    (zero where no source holds a row). values covers every row, dvalues
-    the collocation rows (zero at the soft boundary rows)."""
+    level-1 row when one is present and each neighbor's at the rows they
+    share (zero where no source holds a row, as at every level-0 row).
+    values covers every row, dvalues the collocation rows (zero at the soft
+    boundary rows)."""
 
     values: np.ndarray
     dvalues: np.ndarray
@@ -88,14 +89,16 @@ class RunReport:
 
 @dataclass
 class _RowTable:
-    """Every network's rows, one network after another in subdomain order:
-    network j's rows are bounds[j-1]:bounds[j], its member collocation
-    points up to member_ends[j-1], then the soft boundary points it holds
-    (none under a hard constraint). Row id k is collocation point k below
-    the number of collocation points and soft boundary point k - that
-    number above it. Each network's forward, residual, loss derivatives
-    and cache contributions are rows of these arrays, so all active
-    networks' elementwise work is one pass over their rows."""
+    """Every network's rows, one network after another: network j's rows
+    are bounds[j]:bounds[j+1], its member collocation points up to
+    member_ends[j], then the soft boundary points it holds (none under a
+    hard constraint). Network 0, the coarse network, holds every point
+    with window 1 (an empty block without one); 1..J are the subdomains.
+    Row id k is collocation point k below the number of collocation points
+    and soft boundary point k - that number above it. Each network's
+    forward, residual, loss derivatives and cache contributions are rows
+    of these arrays, so all active networks' elementwise work is one pass
+    over their rows."""
 
     bounds: np.ndarray
     member_ends: np.ndarray
@@ -106,7 +109,7 @@ class _RowTable:
     win: np.ndarray
     dwin: np.ndarray              # 0 at boundary rows
     member: np.ndarray            # a collocation row, not a soft boundary row
-    owned: np.ndarray             # the row's network is its lowest-indexed holder
+    owned: np.ndarray             # the row's network is its lowest-indexed level-1 holder
     rhs: np.ndarray               # f at collocation rows, the soft targets at boundary rows
     # A soft constraint's (c, c') is (1, 0) at the collocation rows and
     # (0, 1) at its boundary rows, so c'v + cv' - f is v' - f there and
@@ -116,9 +119,10 @@ class _RowTable:
     dr_du: np.ndarray             # d(residual)/du
     dr_ddu: np.ndarray            # d(residual)/d(du)
     gain: np.ndarray              # d(loss)/dr = gain r: 2/n, 2 weight/n_bc at boundary rows
-    # Neighbor routes as (src rows, dst rows) layers, added in order: a
-    # row's k-th source in ascending subdomain order is in layer k, so no
-    # dst repeats within a layer. member_routes are the collocation rows'.
+    # Source routes as (src rows, dst rows) layers, added in order: a
+    # level-1 row's k-th source in ascending network order is in layer k,
+    # so no dst repeats within a layer. member_routes are the collocation
+    # rows'.
     routes: list
     member_routes: list
 
@@ -128,18 +132,16 @@ class _ForwardMemo:
     """What one _train() call, or one public call that trains or evaluates,
     computes once and shares. u and du hold each row's network value and
     input derivative, those of network j's rows being its current ones
-    while tapes holds j: the tape of that forward (None when keep_tapes is
-    off, as in a memo that only evaluates), dropped when network j's
-    optimizer steps. background is the frozen level-0 coarse network's
-    share of every cache (_level0_background), computed before any local
-    forward: run after them, it would sit on top of their tapes.
+    while tapes holds j: the tape of that forward (None for network 0,
+    which never steps, and when keep_tapes is off, as in a memo that only
+    evaluates), dropped when network j's optimizer steps. A memo of a state
+    without a coarse network starts with tapes[0]: its block is empty.
     active[order] holds _active_rows for the networks in order. grads[j - 1]
     receives network j's gradient at each of its steps: rows of one
     (J, parameters) matrix, allocated with a memo that keeps tapes."""
 
     u: np.ndarray
     du: np.ndarray
-    background: tuple
     keep_tapes: bool = True
     tapes: dict = field(default_factory=dict)
     active: dict = field(default_factory=dict)
@@ -149,8 +151,8 @@ class _ForwardMemo:
 def _memo(state, keep_tapes=True):
     n_rows = len(state.rows.x)
     grads = ParamGradient.rows_like(state.params[0], state.n_subdomains) if keep_tapes else None
-    return _ForwardMemo(np.empty(n_rows), np.empty(n_rows), _level0_background(state),
-                        keep_tapes, grads=grads)
+    return _ForwardMemo(np.empty(n_rows), np.empty(n_rows), keep_tapes, grads=grads,
+                        tapes={} if state.coarse_params is not None else {0: None})
 
 
 @dataclass
@@ -186,11 +188,10 @@ class FbpinnState:
         return self.problem.domain.midpoint, 0.5 * self.problem.domain.width
 
 
-def _norm_inputs(decomposition, bounds, x):
+def _norm_inputs(lefts, rights, bounds, x):
     """Network inputs x_hat and d(x_hat)/dx at rows x, rows
-    bounds[k]:bounds[k + 1] in subdomain k+1: each subdomain's interval
-    mapped onto [-1, 1], over all rows at once."""
-    lefts, rights = decomposition.lefts, decomposition.rights
+    bounds[k]:bounds[k + 1] in interval [lefts[k], rights[k]]: each
+    interval mapped onto [-1, 1], over all rows at once."""
     counts = np.diff(bounds)
     halfwidth = np.repeat(0.5 * (rights - lefts), counts)
     inputs = x - np.repeat(0.5 * (lefts + rights), counts)
@@ -213,7 +214,8 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         raise ValueError("problem and decomposition domains differ")
     if not isinstance(communication_interval, (int, np.integer)) or communication_interval < 1:
         raise ValueError(f"communication_interval must be >= 1, got {communication_interval!r}")
-    rows, tables = _row_tables(problem, decomposition, points)
+    rows, tables = _row_tables(problem, decomposition, points,
+                               coarse=coarse_layer_sizes is not None)
     n_sub = decomposition.n_subdomains
     params = [init_params(layer_sizes, master_seed + j) for j in range(1, n_sub + 1)]
     optimizers = [make_optimizer(optimizer, learning_rate) for _ in range(n_sub)]
@@ -233,10 +235,11 @@ def create_state(problem, decomposition, points, *, layer_sizes,
     return state
 
 
-def _row_tables(problem, decomposition, points):
+def _row_tables(problem, decomposition, points, coarse=False):
     """(rows, tables): the row table and the global tables, from one
     window_table pass over the collocation points, then the soft boundary
-    points. A point held by more than one subdomain is an overlap point."""
+    points, behind network 0's block of every point when coarse. A point
+    held by more than one subdomain is an overlap point."""
     pts = _collocation_in_domain(decomposition.domain, points)
     n_points = len(pts)
     constraint = problem.constraint
@@ -253,45 +256,51 @@ def _row_tables(problem, decomposition, points):
         multiplier, multiplier_prime = np.ones_like, np.zeros_like
 
     # Row id k is point k of all_x, so each network's rows, in ascending
-    # row id, are its member collocation points, then its boundary points.
+    # row id, are its member collocation points, then its boundary points;
+    # network 0's row k, when coarse, has row id k.
     all_x = np.concatenate([pts, bc_x])
     table = window_table(decomposition, all_x)
-    bounds, row_ids, win, dwin = table.bounds, table.ids, table.win, table.dwin
+    n0 = len(all_x) if coarse else 0
+    bounds = np.concatenate([[0], n0 + table.bounds])
+    row_ids = np.concatenate([np.arange(n0), table.ids])
+    win = np.concatenate([np.ones(n0), table.win])
+    dwin = np.concatenate([np.zeros(n0), table.dwin])
     member = row_ids < n_points
     # each network's member rows come first
     member_ends = bounds[:-1] + np.diff(np.concatenate([[0], np.cumsum(member)])[bounds])
-    empty = [int(j) + 1 for j in np.nonzero(member_ends == bounds[:-1])[0]]
+    empty = [int(j) for j in np.nonzero(member_ends[1:] == bounds[1:-1])[0] + 1]
     if empty:
         raise ValueError(f"subdomains {index_list(empty)} hold no collocation point")
-    interior_mask = np.bincount(row_ids, minlength=len(all_x))[:n_points] == 1
+    interior_mask = np.bincount(table.ids, minlength=len(all_x))[:n_points] == 1
     x = all_x[row_ids]
     dwin[~member] = 0.0
-    inputs, scale = _norm_inputs(decomposition, bounds, x)
+    dom = problem.domain
+    inputs, scale = _norm_inputs(np.append(dom.a, decomposition.lefts),
+                                 np.append(dom.b, decomposition.rights), bounds, x)
     rhs = np.concatenate([np.asarray(problem.rhs(pts), dtype=float), bc_targets])[row_ids]
     cons = np.concatenate([multiplier(pts), np.zeros(len(bc_x))])[row_ids]
     dcons = np.concatenate([multiplier_prime(pts), np.ones(len(bc_x))])[row_ids]
     dr_du, dr_ddu = dcons * win + cons * dwin, cons * (win * scale)
     gain = np.where(member, 2.0 / n_points, 2.0 * bc_weight / max(len(bc_x), 1))
 
-    # One stable sort by row id puts each point's holders together, in
-    # ascending subdomain order. A row's k-th other holder is its layer-k
-    # source, so no row is a destination twice within a layer, and each
+    # One stable sort of the level-1 rows by row id puts each point's
+    # holders together, in ascending subdomain order. Layer 0 routes network
+    # 0 to every level-1 row; a row's k-th other holder is its next layer's
+    # source. So no row is a destination twice within a layer, and each
     # layer lists its collocation rows first.
-    by_id = np.argsort(row_ids, kind="stable")
+    by_id = n0 + np.argsort(row_ids[n0:], kind="stable")
     sorted_ids = row_ids[by_id]
     first = np.searchsorted(sorted_ids, sorted_ids, "left")
     n_holders = np.searchsorted(sorted_ids, sorted_ids, "right") - first
     rank = np.arange(len(by_id)) - first
     owned = np.zeros(len(x), dtype=bool)
     owned[by_id[rank == 0]] = True
-    routes, member_routes = [], []
+    routes = [(sorted_ids, by_id)] if coarse else []
     for k in range(n_holders.max(initial=1) - 1):
         has = n_holders > k + 1
-        dst = by_id[has]
-        src = by_id[(first + k + (rank <= k))[has]]
-        m = np.count_nonzero(member[dst])
-        routes.append((src, dst))
-        member_routes.append((src[:m], dst[:m]))
+        routes.append((by_id[(first + k + (rank <= k))[has]], by_id[has]))
+    member_routes = [(src[:m], dst[:m]) for src, dst in routes
+                     for m in [np.count_nonzero(member[dst])]]
 
     t = _RowTable(
         bounds=bounds, member_ends=member_ends, row_ids=row_ids, x=x, inputs=inputs,
@@ -307,10 +316,11 @@ def _forwards(state, order, memo):
     with np.errstate(invalid="ignore", over="ignore"):
         for j in order:
             if j not in memo.tapes:
-                rows = slice(*state.rows.bounds[j - 1:j + 1])
-                u, du, tape = _forward(state.params[j - 1], state.rows.inputs[rows])
+                rows = slice(*state.rows.bounds[j:j + 2])
+                u, du, tape = _forward(state.params[j - 1] if j else state.coarse_params,
+                                       state.rows.inputs[rows])
                 memo.u[rows], memo.du[rows] = u, du
-                memo.tapes[j] = tape if memo.keep_tapes else None
+                memo.tapes[j] = tape if memo.keep_tapes and j else None
 
 
 def _dvalue(t, rows, u, du):
@@ -322,38 +332,15 @@ def _dvalue(t, rows, u, du):
     return dvalue
 
 
-def _level0_background(state):
-    """The frozen coarse network's share of every cache, zero without one:
-    its value at every row of the row table and its derivative at the
-    collocation rows, each added to zero. Its inputs are every collocation
-    point, then every soft boundary point, normalized by coarse_norm, so
-    row id k is its input k."""
-    t = state.rows
-    if state.coarse_params is None:
-        # a read-only view: a refresh's copy is the only zero array made
-        zero = np.broadcast_to(0.0, len(t.x))
-        return zero, zero
-    values, dvalues = np.zeros(len(t.x)), np.zeros(len(t.x))
-    x = np.empty(len(state.tables.x) + state.tables.n_bc)
-    x[t.row_ids] = t.x
-    center, halfwidth = state.coarse_norm
-    with np.errstate(invalid="ignore", over="ignore"):
-        u, du, _ = _forward(state.coarse_params, (x - center) / halfwidth)
-        values += u[t.row_ids]
-        du *= 1.0 / halfwidth
-        dvalues[t.member] += du[t.row_ids[t.member]]
-    return values, dvalues
-
-
 def refresh_overlap_cache(state, memo=None):
     """Recompute every subdomain's frozen background from current parameters:
-    a copy of the memo's level-0 background, then one contribution pass
-    over every row and each route layer's scatter, so each row sums its
-    sources in ascending order."""
+    zeros, then one contribution pass over every network's rows and each
+    route layer's scatter, so each row sums its sources in ascending order,
+    level 0 first."""
     t = state.rows
     memo = memo if memo is not None else _memo(state, keep_tapes=False)
-    values, dvalues = memo.background[0].copy(), memo.background[1].copy()
-    _forwards(state, range(1, state.n_subdomains + 1), memo)
+    values, dvalues = np.zeros(len(t.x)), np.zeros(len(t.x))
+    _forwards(state, range(state.n_subdomains + 1), memo)
     with np.errstate(invalid="ignore", over="ignore"):
         contrib = t.win * memo.u
         for src, dst in t.routes:
@@ -392,7 +379,7 @@ def _active_rows(state, order, memo=None):
     call; and each network's (start, end of members, end) within them."""
     found = memo.active.get(order) if memo is not None else None
     if found is None:
-        t, k = state.rows, np.asarray(order) - 1
+        t, k = state.rows, np.asarray(order)
         lo, mid, hi = t.bounds[k], t.member_ends[k], t.bounds[k + 1]
         if (lo[1:] == hi[:-1]).all():
             rows = slice(int(lo[0]), int(hi[-1]))
@@ -430,18 +417,19 @@ def _loss_terms(state, rows, spans, cache, u, du):
 
 def _loss_split(state, cache, memo=None):
     """Loss split with every row's residual taken from its lowest-indexed
-    holder's live network against `cache`: the ODE residual at collocation
-    points, plus the soft boundary penalty. Returns the split and the
-    residual at every collocation point."""
+    level-1 holder's live network against `cache`: the ODE residual at
+    collocation points, plus the soft boundary penalty. Returns the split
+    and the residual at every collocation point."""
     t = state.tables
     n = len(t.x)
     memo = memo if memo is not None else _memo(state, keep_tapes=False)
     _forwards(state, range(1, state.n_subdomains + 1), memo)
+    rows, level1 = state.rows, slice(state.rows.bounds[1], None)
     with np.errstate(invalid="ignore", over="ignore"):
-        res = _residual(state.rows, slice(None), memo.u, memo.du, cache)
+        res = _residual(rows, level1, memo.u[level1], memo.du[level1], cache)
         by_row = np.zeros(n + t.n_bc)
-        owned = state.rows.owned
-        by_row[state.rows.row_ids[owned]] = res[owned]
+        owned = rows.owned[level1]
+        by_row[rows.row_ids[level1][owned]] = res[owned]
         r, err = by_row[:n], by_row[n:]
         boundary = float(_penalty(t, err))
         squared = r * r
@@ -482,6 +470,7 @@ def local_loss(state, j, cache=None):
     """Subdomain j's training loss: squared residuals over its member points,
     scaled by the global point count, plus the penalty of its soft boundary
     rows, with foreign contributions taken from the cache."""
+    state.decomposition.subdomain(j)    # ValueError outside 1..J
     rows, spans = _active_rows(state, (j,))
     with np.errstate(invalid="ignore", over="ignore"):
         u, du = eval_batch(state.params[j - 1], state.rows.inputs[rows])
@@ -499,7 +488,7 @@ def _step(state, order, memo):
     rows, spans = _active_rows(state, order, memo)
     terms = _loss_terms(state, rows, spans, state.cache, memo.u[rows], memo.du[rows])
     for j, term in zip(order, terms):
-        own = slice(*state.rows.bounds[j - 1:j + 1])
+        own = slice(*state.rows.bounds[j:j + 2])
         forward = memo.u[own], memo.du[own], memo.tapes.pop(j)
         try:
             _, grad = loss_gradient(state.params[j - 1], state.rows.inputs[own],
@@ -514,8 +503,7 @@ def _step(state, order, memo):
 
 def _train_round(state, active, on_step, memo):
     for j in active.active:
-        if not 1 <= j <= state.n_subdomains:
-            raise ValueError(f"active subdomain {j} out of range")
+        state.decomposition.subdomain(j)    # ValueError outside 1..J
     order = tuple(sorted(active.active))
     for _ in range(state.communication_interval):
         _step(state, order, memo)
@@ -547,7 +535,7 @@ def _grid_shares(decomposition, x):
     sorted grid, else an index. The window table's other arrays are freed
     on return, before the grid's first evaluation."""
     table = window_table(decomposition, x)
-    inputs, _ = _norm_inputs(decomposition, table.bounds, x[table.ids])
+    inputs, _ = _norm_inputs(decomposition.lefts, decomposition.rights, table.bounds, x[table.ids])
     shares = []
     for (ids, win, _), lo, hi in zip(table, table.bounds, table.bounds[1:]):
         consecutive = len(ids) and ids[-1] - ids[0] == len(ids) - 1
@@ -613,13 +601,17 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
     which must be fresh when train is called: create_state,
     train_coarse_then_local and every round leave it so. They then equal
     global_loss(state) at the same two points."""
+    _check_rounds(state, schedule, rounds)
+    return _train(state, schedule, int(rounds) * state.communication_interval,
+                  record_interval=record_interval, l2_points=l2_points,
+                  report=report, phase=phase, step_offset=step_offset)
+
+
+def _check_rounds(state, schedule, rounds):
     if not isinstance(rounds, (int, np.integer)) or rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds!r}")
     if schedule.n_subdomains != state.n_subdomains:
         raise ValueError("schedule and state disagree on the number of subdomains")
-    return _train(state, schedule, int(rounds) * state.communication_interval,
-                  record_interval=record_interval, l2_points=l2_points,
-                  report=report, phase=phase, step_offset=step_offset)
 
 
 def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
@@ -642,8 +634,10 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
     started = time.perf_counter()
     # Each network's tangent forward is computed at most once per parameter
     # version and shared by the loss splits, the cache refresh and the next
-    # step's gradient.
+    # step's gradient. Network 0's comes first: in the first refresh, it
+    # would sit on top of the level-1 tapes.
     memo = _memo(state)
+    _forwards(state, range(state.n_subdomains + 1), memo)
     if report.initial_loss is None:
         report.initial_loss = _checked_loss(state, state.cache, memo).total
     final_step = state.step + steps
@@ -734,6 +728,8 @@ def train_coarse_then_local(state, coarse_epochs, coarse_points, local_rounds,
         raise ValueError("state was created without a coarse network")
     if not isinstance(coarse_epochs, (int, np.integer)) or coarse_epochs < 0:
         raise ValueError(f"coarse_epochs must be >= 0, got {coarse_epochs!r}")
+    schedule = schedule if schedule is not None else parallel_schedule(state.n_subdomains)
+    _check_rounds(state, schedule, local_rounds)
     report = RunReport()
     if coarse_epochs > 0:
         lone = _lone_state(state.problem,
@@ -748,7 +744,6 @@ def train_coarse_then_local(state, coarse_epochs, coarse_points, local_rounds,
             err.subdomain = "coarse"
             raise
     state.cache = refresh_overlap_cache(state)
-    schedule = schedule if schedule is not None else parallel_schedule(state.n_subdomains)
     train(state, schedule, local_rounds, record_interval=record_interval,
           l2_points=l2_points, report=report, phase="local",
           step_offset=int(coarse_epochs))

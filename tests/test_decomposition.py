@@ -146,6 +146,18 @@ def test_width_constructor_bounds():
     assert one.subdomains[0].contains(4.0)
 
 
+@pytest.mark.parametrize("n, width, message", [
+    (1, np.nan, "must cover the domain width 8.0"),
+    (1, 7.9, "must cover the domain width 8.0"),
+    (1, -1.0, "must cover the domain width 8.0"),
+    (4, np.nan, "must exceed the spacing 2.0"),
+])
+def test_width_constructor_rejects_nan_and_a_lone_width_short_of_the_domain(n, width,
+                                                                            message):
+    with pytest.raises(ValueError, match=message):
+        build_decomposition_from_width(EIGHT, n, width)
+
+
 @pytest.mark.parametrize("dom, n, fraction, message", [
     # the width rounds down to the spacing
     (Interval(-2 * np.pi, 2 * np.pi), 2, 1e-17, "must exceed the spacing"),

@@ -50,7 +50,7 @@ def same_params(snap, params_list):
 def rows_of(state, j):
     """Network j's rows of the row table, and its member rows."""
     t = state.rows
-    return slice(t.bounds[j - 1], t.bounds[j]), slice(t.bounds[j - 1], t.member_ends[j - 1])
+    return slice(t.bounds[j], t.bounds[j + 1]), slice(t.bounds[j], t.member_ends[j])
 
 
 def manual_raw_global(state, x):
@@ -557,6 +557,26 @@ def test_undefined_relative_l2_error_raises_before_training(problem, path):
     assert state.step == 0
 
 
+@pytest.mark.parametrize("local_rounds, n_schedule", [(0, 3), (2, 4)])
+def test_coarse_then_local_rejects_its_local_phase_before_the_coarse_phase(local_rounds,
+                                                                          n_schedule):
+    state = coarse_state(seed=3, n_sub=3)
+    before = [a.tobytes() for a in state.coarse_params.arrays()]
+    with pytest.raises(ValueError, match="rounds must be|disagree on the number"):
+        train_coarse_then_local(state, coarse_epochs=3, coarse_points=20,
+                                local_rounds=local_rounds,
+                                schedule=parallel_schedule(n_schedule))
+    assert [a.tobytes() for a in state.coarse_params.arrays()] == before
+    assert state.step == 0
+
+
+@pytest.mark.parametrize("j", [0, -1, 3])
+def test_local_loss_rejects_an_index_outside_the_subdomains(j):
+    state = coarse_state(seed=3, n_sub=2)
+    with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+        local_loss(state, j)
+
+
 def test_coarse_network_contributes_to_evaluation():
     state = coarse_state(seed=2)
     x = 1.3
@@ -645,7 +665,7 @@ def test_boundary_points_are_rows_of_every_holder(n_sub):
     n = len(state.tables.x)
     holders, owners = {}, {}
     for j in range(1, n_sub + 1):
-        boundary = slice(state.rows.member_ends[j - 1], state.rows.bounds[j])
+        boundary = slice(state.rows.member_ends[j], state.rows.bounds[j + 1])
         for k, owned in zip(state.rows.row_ids[boundary] - n, state.rows.owned[boundary]):
             holders.setdefault(int(k), []).append(j)
             if owned:
@@ -784,7 +804,7 @@ def test_row_pass_matches_the_per_network_reference(constraint, kind, coarse, p)
              "alternating": alternating_schedule(4),
              "colored": colored_schedule(4, [[1, 3], [2, 4]])}[kind]
     state, twin = make(), make()
-    assert len(state.rows.routes) == (2 if kind == "parallel-2h" else 1)
+    assert len(state.rows.routes) == (2 if kind == "parallel-2h" else 1) + coarse
     train(state, sched, 5, record_interval=2, l2_points=50)
     workspaces, cache = per_network.train_reference(twin, sched, 5)
     assert same_params(snapshot(twin.params), state.params)
@@ -937,14 +957,41 @@ def test_one_coarse_forward_per_train_call_on_every_level0_row(monkeypatch, cons
     assert len(coarse_inputs) == 1
     assert coarse_inputs[0].tobytes() == level0_inputs.tobytes()
 
-    # a row no neighbor holds gets 0 + u: the coarse value bit for bit
+    # a level-1 row no neighbor holds gets 0 + u: the coarse value bit for bit
     u, _, _ = real_forward(state.coarse_params, level0_inputs)
     alone = np.ones(len(state.rows.x), dtype=bool)
-    for _, dst in state.rows.routes:
+    alone[:state.rows.bounds[1]] = False
+    for _, dst in state.rows.routes[1:]:
         alone[dst] = False
     for j in range(1, state.n_subdomains + 1):
         assert alone[rows_of(state, j)[0]].any()
     assert state.cache.values[alone].tobytes() == u[state.rows.row_ids[alone]].tobytes()
+
+
+@pytest.mark.parametrize("constraint", ["hard", "soft"])
+def test_the_coarse_network_is_network_0_of_the_row_table(constraint):
+    # network 0's block is every collocation point, then every soft
+    # boundary point, in row-id order, with window 1 and the coarse inputs;
+    # it owns no row and is no route's destination. Without a coarse
+    # network the block is empty.
+    make = small_state if constraint == "hard" else soft_multi_state
+    state = make(n_sub=4, n_pts=60, seed=6, coarse_layer_sizes=[1, 6, 1])
+    t = state.rows
+    n = len(state.tables.x) + state.tables.n_bc
+    assert t.bounds[0] == 0 and t.bounds[1] == n
+    block = slice(0, n)
+    assert np.array_equal(t.row_ids[block], np.arange(n))
+    points = state.tables.x if constraint == "hard" else np.append(state.tables.x, MULTI.points)
+    assert np.array_equal(t.x[block], points)
+    assert (t.win[block] == 1.0).all() and (t.dwin[block] == 0.0).all()
+    center, halfwidth = state.coarse_norm
+    assert t.inputs[block].tobytes() == ((t.x[block] - center) / halfwidth).tobytes()
+    assert not t.owned[block].any()
+    for _, dst in t.routes + t.member_routes:
+        assert (dst >= n).all()
+    assert len(t.routes[0][1]) == len(t.x) - n
+    local = make(n_sub=4, n_pts=60, seed=6)
+    assert local.rows.bounds[0] == local.rows.bounds[1] == 0
 
 
 @pytest.mark.parametrize("kind", ["parallel", "alternating"])
