@@ -2,9 +2,9 @@
 method on 1D ODEs."""
 
 from .decomposition import (CollocationSets, Decomposition, Interval, Subdomain,
-                            TripleOverlapError, build_decomposition,
-                            build_decomposition_from_width, classify_points,
-                            sample_collocation, window, window_table)
+                            build_decomposition, build_decomposition_from_width,
+                            classify_points, sample_collocation, window,
+                            window_table)
 from .networks import (MlpParams, NumericalFailureError, ParamGradient,
                        eval_batch, init_params, loss_gradient,
                        params_from_jsonable, params_to_jsonable)

@@ -3,9 +3,10 @@
 A decomposition splits [a, b] into n equally spaced subdomains of common
 width, clipped to the domain at the ends. overlap_fraction is the share of
 each subdomain's width covered by overlap regions (both sides combined for
-interior subdomains), so every fraction in (0, 1) yields a chain where no
-point sits in more than two subdomains. Windows are products of cosine
-ramps over the overlap regions, normalized pointwise to sum to one.
+interior subdomains). Any width above the spacing is allowed, so a point
+may sit in any number of subdomains. Windows are products of cosine ramps
+over the overlap regions, normalized pointwise to sum to one over every
+subdomain that holds the point.
 """
 
 from __future__ import annotations
@@ -15,10 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-
-class TripleOverlapError(ValueError):
-    """Subdomain width exceeds twice the spacing, so a point would fall in
-    three or more subdomains."""
+from .scheduling import _check_group
 
 
 @dataclass(frozen=True)
@@ -45,20 +43,10 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class WindowParams:
-    """Cosine ramp descriptors; None means the window is flat (value 1)
-    from that side out to the subdomain edge."""
-
-    up: tuple | None      # (start, end), rises 0 -> 1
-    down: tuple | None    # (start, end), falls 1 -> 0
-
-
-@dataclass(frozen=True)
 class Subdomain:
     index: int            # 1-based
     left: float
     right: float
-    neighbor_indices: frozenset
 
     @property
     def width(self):
@@ -77,8 +65,8 @@ class Decomposition:
     """Subdomain k+1 is [lefts[k], rights[k]]; its window rises over
     [lefts[k], lefts[k] + delta] and falls over [rights[k] - delta,
     rights[k]], but the first window does not rise and the last does not
-    fall. The per-subdomain objects are built from these arrays on first
-    use."""
+    fall. subdomains, the one per-subdomain view, is built from these
+    arrays on first use."""
 
     domain: Interval
     lefts: np.ndarray
@@ -92,21 +80,9 @@ class Decomposition:
 
     @cached_property
     def subdomains(self):
-        # near[k]: subdomains k and k + 1 overlap (none at 0 and n)
-        near = [False, *(self.lefts[1:] < self.rights[:-1]).tolist(), False]
-        return tuple(
-            Subdomain(k, left, right,
-                      frozenset(j for j, yes in ((k - 1, near[k - 1]), (k + 1, near[k])) if yes))
-            for k, left, right in zip(range(1, self.n_subdomains + 1),
-                                      self.lefts.tolist(), self.rights.tolist()))
-
-    @cached_property
-    def window_params(self):
-        last = self.n_subdomains - 1
-        return tuple(
-            WindowParams(None if k == 0 else (left, left + self.delta),
-                         None if k == last else (right - self.delta, right))
-            for k, (left, right) in enumerate(zip(self.lefts.tolist(), self.rights.tolist())))
+        return tuple(Subdomain(k, left, right) for k, left, right in
+                     zip(range(1, self.n_subdomains + 1),
+                         self.lefts.tolist(), self.rights.tolist()))
 
     @cached_property
     def ramps(self):
@@ -121,25 +97,27 @@ class Decomposition:
         up_start[0], up_width[0], down_end[-1], down_width[-1] = -np.inf, 1.0, np.inf, 1.0
         return up_start, up_width, down_end, down_width
 
-    def subdomain(self, j):
-        if not 1 <= j <= self.n_subdomains:
-            raise ValueError(f"subdomain index {j} out of range 1..{self.n_subdomains}")
-        return self.subdomains[j - 1]
-
     def to_jsonable(self):
+        """The decomposition.json layout. Subdomains i < j overlap when
+        lefts[j] < rights[i], and lefts and rights never decrease, so
+        subdomain k+1's neighbours are the others in lo[k]:hi[k]."""
+        lo = np.searchsorted(self.rights, self.lefts, "right").tolist()
+        hi = np.searchsorted(self.lefts, self.rights, "left").tolist()
+        last = self.n_subdomains - 1
         return {
             "domain": [self.domain.a, self.domain.b],
             "overlap_fraction": self.overlap_fraction,
             "subdomains": [
                 {
-                    "index": sd.index,
-                    "left": sd.left,
-                    "right": sd.right,
-                    "neighbors": sorted(sd.neighbor_indices),
-                    "window": {"up": list(wp.up) if wp.up else None,
-                               "down": list(wp.down) if wp.down else None},
+                    "index": k + 1,
+                    "left": left,
+                    "right": right,
+                    "neighbors": [j + 1 for j in range(lo[k], hi[k]) if j != k],
+                    "window": {"up": None if k == 0 else [left, left + self.delta],
+                               "down": None if k == last else [right - self.delta, right]},
                 }
-                for sd, wp in zip(self.subdomains, self.window_params)
+                for k, (left, right) in enumerate(zip(self.lefts.tolist(),
+                                                      self.rights.tolist()))
             ],
         }
 
@@ -178,11 +156,10 @@ def build_decomposition(domain, n_subdomains, overlap_fraction):
 def build_decomposition_from_width(domain, n_subdomains, width, overlap_fraction=None):
     """Decomposition with an explicit common subdomain width.
 
-    Widths above twice the spacing are rejected: they would put points in
-    three subdomains at once, which the window and cache machinery does not
-    support. So are a NaN width, a lone subdomain's width below the
-    domain's, and widths that rounding leaves without an overlap of
-    positive width, or with a ramp of width 0.
+    Any width above the spacing h builds; a width w puts a point in at
+    most floor(w / h) + 1 subdomains. Rejected are a NaN width, a lone
+    subdomain's width below the domain's, and widths that rounding leaves
+    without an overlap of positive width, or with a ramp of width 0.
     """
     if not isinstance(n_subdomains, (int, np.integer)) or n_subdomains < 1:
         raise ValueError(f"n_subdomains must be a positive integer, got {n_subdomains!r}")
@@ -190,28 +167,13 @@ def build_decomposition_from_width(domain, n_subdomains, width, overlap_fraction
     h = domain.width / n
     if n == 1 and not width >= h:
         raise ValueError(f"subdomain width {width} must cover the domain width {h}")
-    if n > 1:
-        if not width > h:
-            raise ValueError(
-                f"subdomain width {width} must exceed the spacing {h} so neighbors overlap")
-        if width > 2.0 * h:
-            raise TripleOverlapError(
-                f"subdomain width {width} exceeds twice the spacing {h}; "
-                "points would lie in three subdomains")
+    if n > 1 and not width > h:
+        raise ValueError(
+            f"subdomain width {width} must exceed the spacing {h} so neighbors overlap")
     centers = domain.a + (np.arange(n) + 0.5) * h
     lefts = np.maximum(centers - width / 2.0, domain.a)
     rights = np.minimum(centers + width / 2.0, domain.b)
-    delta = width - h
-
-    # Lefts and rights never decrease, so subdomains i < j overlap when
-    # lefts[j] < rights[i], and i overlaps some j > i + 1 only if it
-    # overlaps i + 2.
-    skip = np.nonzero(lefts[2:] < rights[:-2])[0]
-    if len(skip):
-        i = int(skip[0])
-        raise TripleOverlapError(
-            f"subdomains {i + 1} and {i + 3} overlap; chain structure broken")
-    dec = Decomposition(domain, lefts, rights, delta,
+    dec = Decomposition(domain, lefts, rights, width - h,
                         float(overlap_fraction) if overlap_fraction is not None else None)
     _, up_width, _, down_width = dec.ramps
     apart = np.nonzero((lefts[1:] >= rights[:-1]) | (up_width[1:] <= 0) | (down_width[:-1] <= 0))[0]
@@ -225,9 +187,9 @@ def build_decomposition_from_width(domain, n_subdomains, width, overlap_fraction
 def window(decomposition, j, x):
     """Normalized window value and derivative of subdomain j at scalar x:
     x's row of window_table. Exactly (0, 0) outside the closed subdomain."""
-    sd = decomposition.subdomain(j)
+    _check_group([j], decomposition.n_subdomains, "window")
     x = float(x)
-    if not sd.contains(x):
+    if not decomposition.lefts[j - 1] <= x <= decomposition.rights[j - 1]:
         return 0.0, 0.0
     _, win, dwin = window_table(decomposition, [x])[j - 1]
     return float(win[0]), float(dwin[0])
@@ -349,8 +311,9 @@ def index_list(indices):
 @dataclass(frozen=True)
 class CollocationSets:
     """Membership of each point in each subdomain, split into interior points
-    (one containing subdomain) and overlap points (two). Index arrays refer
-    to positions in `points`; list position k belongs to subdomain k+1."""
+    (one containing subdomain) and overlap points (more than one). Index
+    arrays refer to positions in `points`; list position k belongs to
+    subdomain k+1."""
 
     points: np.ndarray
     members: list

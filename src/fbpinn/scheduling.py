@@ -29,13 +29,17 @@ def _check_n(n_subdomains):
 
 
 def _check_group(group, n, what):
-    g = frozenset(int(j) for j in group)
-    if not g:
+    """group as a frozenset of 1-based indices. ValueError when it is empty
+    or holds anything but an integer in 1..n; a bool is not an index."""
+    items = list(group)
+    if not items:
         raise ValueError(f"{what} must not be empty")
-    for j in g:
+    for j in items:
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            raise ValueError(f"{what}: index {j!r} is not an integer")
         if not 1 <= j <= n:
-            raise ValueError(f"{what} contains index {j} outside 1..{n}")
-    return g
+            raise ValueError(f"{what}: index {j} out of range 1..{n}")
+    return frozenset(int(j) for j in items)
 
 
 def parallel_schedule(n_subdomains):

@@ -33,7 +33,7 @@ from .networks import (NumericalFailureError, ParamGradient, _forward,
                        work_size)
 from .optimizers import make_optimizer
 from .problems import _exact_on_error_grid
-from .scheduling import parallel_schedule, active_set as schedule_active_set
+from .scheduling import _check_group, parallel_schedule, active_set as schedule_active_set
 
 
 @dataclass
@@ -470,7 +470,7 @@ def local_loss(state, j, cache=None):
     """Subdomain j's training loss: squared residuals over its member points,
     scaled by the global point count, plus the penalty of its soft boundary
     rows, with foreign contributions taken from the cache."""
-    state.decomposition.subdomain(j)    # ValueError outside 1..J
+    _check_group([j], state.n_subdomains, "subdomain")
     rows, spans = _active_rows(state, (j,))
     with np.errstate(invalid="ignore", over="ignore"):
         u, du = eval_batch(state.params[j - 1], state.rows.inputs[rows])
@@ -502,9 +502,7 @@ def _step(state, order, memo):
 
 
 def _train_round(state, active, on_step, memo):
-    for j in active.active:
-        state.decomposition.subdomain(j)    # ValueError outside 1..J
-    order = tuple(sorted(active.active))
+    order = tuple(sorted(_check_group(active.active, state.n_subdomains, "active set")))
     for _ in range(state.communication_interval):
         _step(state, order, memo)
         on_step()

@@ -1,45 +1,56 @@
 """Per-subdomain reference for a Decomposition's views and classify_points.
 
-A Decomposition holds its subdomains' bounds as arrays and builds its
-Subdomain and WindowParams objects from them on first use, and
-classify_points takes its sets from one window_table pass. This module
-keeps the earlier forms as independent references: the objects built one
-subdomain at a time from the layout formulas, the JSON layout written
-from them, and one membership mask per subdomain, whose overlap points
-are those its neighbours' masks also hold.
+A Decomposition holds its subdomains' bounds as arrays, builds its
+Subdomain view from them on first use and writes decomposition.json
+straight from them, and classify_points takes its sets from one
+window_table pass. This module keeps the earlier forms as independent
+references: the layout built one subdomain at a time from the layout
+formulas, neighbour sets from comparing every pair of subdomains, the
+JSON layout written from those, and one membership mask per subdomain,
+whose overlap points are those its neighbours' masks also hold.
 """
 
 import numpy as np
 
-from fbpinn.decomposition import (CollocationSets, Subdomain, WindowParams,
-                                  _collocation_in_domain)
+from fbpinn.decomposition import CollocationSets, Subdomain, _collocation_in_domain
+
+
+def bounds(domain, n, width):
+    """(lefts, rights) of n subdomains of common width on domain, as
+    build_decomposition_from_width lays them out."""
+    h = domain.width / n
+    centers = domain.a + (np.arange(n) + 0.5) * h
+    return (np.maximum(centers - width / 2.0, domain.a),
+            np.minimum(centers + width / 2.0, domain.b))
+
+
+def neighbors(lefts, rights):
+    """Each subdomain's sorted 1-based neighbours: every other subdomain
+    whose interval overlaps its own in more than a point."""
+    overlaps = np.maximum.outer(lefts, lefts) < np.minimum.outer(rights, rights)
+    np.fill_diagonal(overlaps, False)
+    return [(np.nonzero(row)[0] + 1).tolist() for row in overlaps]
 
 
 def build(domain, n, width):
-    """(subdomains, window_params) of n subdomains of common width on
-    domain, as build_decomposition_from_width lays them out."""
-    h = domain.width / n
-    centers = domain.a + (np.arange(n) + 0.5) * h
-    lefts = np.maximum(centers - width / 2.0, domain.a)
-    rights = np.minimum(centers + width / 2.0, domain.b)
-    delta = width - h
-    neighbor_sets = [set() for _ in range(n)]
-    for i in np.nonzero(lefts[1:] < rights[:-1])[0].tolist():
-        neighbor_sets[i].add(i + 2)
-        neighbor_sets[i + 1].add(i + 1)
-    subdomains = tuple(
-        Subdomain(i + 1, float(lefts[i]), float(rights[i]), frozenset(neighbor_sets[i]))
-        for i in range(n))
+    """(subdomains, windows) of n subdomains of common width on domain:
+    the Subdomain views, and each window's (up, down) ramp bounds, None
+    where the window is flat out to that edge."""
+    lefts, rights = bounds(domain, n, width)
+    delta = width - domain.width / n
+    subdomains = tuple(Subdomain(i + 1, float(lefts[i]), float(rights[i])) for i in range(n))
     windows = []
     for i in range(n):
         up = None if i == 0 else (float(lefts[i]), float(lefts[i] + delta))
         down = None if i == n - 1 else (float(rights[i] - delta), float(rights[i]))
-        windows.append(WindowParams(up, down))
+        windows.append((up, down))
     return subdomains, tuple(windows)
 
 
-def to_jsonable(domain, overlap_fraction, subdomains, window_params):
-    """The decomposition.json layout of these objects."""
+def to_jsonable(domain, overlap_fraction, subdomains, windows):
+    """The decomposition.json layout of this build."""
+    near = neighbors(np.array([sd.left for sd in subdomains]),
+                     np.array([sd.right for sd in subdomains]))
     return {
         "domain": [domain.a, domain.b],
         "overlap_fraction": overlap_fraction,
@@ -48,11 +59,11 @@ def to_jsonable(domain, overlap_fraction, subdomains, window_params):
                 "index": sd.index,
                 "left": sd.left,
                 "right": sd.right,
-                "neighbors": sorted(sd.neighbor_indices),
-                "window": {"up": list(wp.up) if wp.up else None,
-                           "down": list(wp.down) if wp.down else None},
+                "neighbors": nb,
+                "window": {"up": list(up) if up else None,
+                           "down": list(down) if down else None},
             }
-            for sd, wp in zip(subdomains, window_params)
+            for sd, nb, (up, down) in zip(subdomains, near, windows)
         ],
     }
 
@@ -61,11 +72,12 @@ def classify_points(decomposition, points):
     """CollocationSets from one mask per subdomain: a member is an overlap
     point when a neighbour's mask holds it too."""
     pts = _collocation_in_domain(decomposition.domain, points)
-    masks = [(pts >= sd.left) & (pts <= sd.right) for sd in decomposition.subdomains]
+    lefts, rights = decomposition.lefts, decomposition.rights
+    masks = [(pts >= left) & (pts <= right) for left, right in zip(lefts, rights)]
     members, interior, overlap = [], [], []
-    for sd, mask in zip(decomposition.subdomains, masks):
+    for mask, near in zip(masks, neighbors(lefts, rights)):
         shared = np.zeros_like(mask)
-        for l in sd.neighbor_indices:
+        for l in near:
             shared |= masks[l - 1]
         members.append(np.nonzero(mask)[0])
         overlap.append(np.nonzero(mask & shared)[0])

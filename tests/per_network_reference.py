@@ -5,7 +5,8 @@ loss split of every active network as one pass over a row table that
 holds all of their rows. This module keeps the earlier per-network form
 of that work as an independent reference: its own workspaces and
 neighbour routes built from the per-subdomain window table of
-window_table_reference, one loss closure per network
+window_table_reference and the pairwise neighbour sets of
+decomposition_reference, one loss closure per network
 handed to loss_gradient, a cache refresh that loops over the sources
 (the level-0 coarse network first, then the subdomains in ascending
 order) adding each source's contribution route by route, and a loss
@@ -18,6 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from decomposition_reference import neighbors
 from window_table_reference import window_table
 from fbpinn.networks import eval_batch, loss_gradient
 from fbpinn.scheduling import active_set
@@ -66,8 +68,8 @@ def build(state):
             ws.cons = None
             ws.rhs = np.concatenate([ws.rhs, targets[row_ids[ws.n_own:] - n]])
         workspaces.append(ws)
-    for ws in workspaces:
-        for l in sorted(dec.subdomains[ws.index - 1].neighbor_indices):
+    for ws, near in zip(workspaces, neighbors(dec.lefts, dec.rights)):
+        for l in near:
             common, src, dst = np.intersect1d(ws.row_ids, workspaces[l - 1].row_ids,
                                               assume_unique=True, return_indices=True)
             m = common.searchsorted(n)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from fbpinn.decomposition import (Interval, TripleOverlapError,
-                                  build_decomposition,
+from fbpinn.decomposition import (Interval, build_decomposition,
                                   build_decomposition_from_width,
                                   classify_points, empty_subdomains,
                                   index_list, sample_collocation, window,
@@ -40,7 +39,7 @@ def test_layout_eight_subdomains_half_overlap():
     assert sd2.width == pytest.approx(4 / 3, abs=1e-15)
     # ends are clipped at the domain boundary
     assert dec.subdomains[-1].right == 8.0
-    assert [sorted(sd.neighbor_indices) for sd in dec.subdomains] == [
+    assert [sd["neighbors"] for sd in dec.to_jsonable()["subdomains"]] == [
         [2], [1, 3], [2, 4], [3, 5], [4, 6], [5, 7], [6, 8], [7]]
     # only the two subdomains sharing an overlap cover a point there
     assert sum(sd.contains(1.0) for sd in dec.subdomains) == 2
@@ -69,6 +68,16 @@ def test_window_zero_outside_subdomain():
     assert window(dec, 1, 7 / 6 + 1e-9) == (0.0, 0.0)
     assert window(dec, 3, 0.5) == (0.0, 0.0)
     assert window(dec, 8, 0.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("j, message", [
+    (2.0, "is not an integer"), (True, "is not an integer"),
+    (0, r"out of range 1\.\.8"), (9, r"out of range 1\.\.8"),
+])
+def test_window_rejects_a_bad_subdomain_index(j, message):
+    dec = build_decomposition(EIGHT, 8, 0.5)
+    with pytest.raises(ValueError, match=message):
+        window(dec, j, 1.0)
 
 
 def test_window_derivative_vs_finite_differences():
@@ -117,7 +126,7 @@ def test_single_subdomain_window_is_one():
     dec = build_decomposition(EIGHT, 1, 0.5)
     sd = dec.subdomains[0]
     assert (sd.left, sd.right) == (0.0, 8.0)
-    assert sd.neighbor_indices == frozenset()
+    assert dec.to_jsonable()["subdomains"][0]["neighbors"] == []
     for x in (0.0, 3.3, 8.0):
         assert window(dec, 1, x) == (1.0, 0.0)
 
@@ -132,10 +141,11 @@ def test_build_rejects_bad_arguments():
 
 
 def test_width_constructor_bounds():
-    # spacing is 2; widths beyond twice the spacing break the pairwise chain
+    # spacing is 2; any width above it builds, and widths beyond twice the
+    # spacing put points in three or more subdomains
     dom = EIGHT
-    with pytest.raises(TripleOverlapError):
-        build_decomposition_from_width(dom, 4, 4.0 + 1e-9)
+    wide = build_decomposition_from_width(dom, 4, 4.0 + 1e-9)
+    assert sum(sd.contains(3.0) for sd in wide.subdomains) == 3
     with pytest.raises(ValueError):
         build_decomposition_from_width(dom, 4, 2.0)
     dec = build_decomposition_from_width(dom, 4, 3.8)
@@ -211,6 +221,16 @@ def test_empty_subdomains_are_those_classify_points_leaves_empty(n_sub, overlap,
     assert empty_subdomains(dec, pts) == [j for j, m in enumerate(members, 1) if not len(m)]
 
 
+# an overlap fraction in (0, 1), or a width in units of the spacing h
+SPREADS = st.one_of(st.floats(0.05, 0.95), st.just(2.0), st.floats(1.05, 5.0))
+
+
+def _spread_decomposition(n_sub, spread):
+    if spread < 1.0:
+        return build_decomposition(EIGHT, n_sub, spread)
+    return build_decomposition_from_width(EIGHT, n_sub, spread * EIGHT.width / n_sub)
+
+
 def _same_sets(got, want):
     assert got.points.tobytes() == want.points.tobytes()
     for name in ("members", "interior", "overlap"):
@@ -219,17 +239,12 @@ def _same_sets(got, want):
         assert all(_same_bits(g, w) for g, w in zip(got_sets, want_sets))
 
 
-@given(data=st.data(), n_sub=st.integers(1, 12),
-       overlap=st.one_of(st.floats(0.05, 0.95), st.just("2h")))
+@given(data=st.data(), n_sub=st.integers(1, 12), spread=SPREADS)
 @settings(max_examples=150, deadline=None)
-def test_classify_points_matches_the_per_subdomain_masks(data, n_sub, overlap):
-    # unsorted and repeated points, points on every subdomain edge, and
-    # width 2h, where an edge point is held three times
-    try:
-        dec = build_decomposition(EIGHT, n_sub, overlap) if overlap != "2h" \
-            else build_decomposition_from_width(EIGHT, n_sub, 16.0 / n_sub)
-    except TripleOverlapError:
-        reject()
+def test_classify_points_matches_the_per_subdomain_masks(data, n_sub, spread):
+    # unsorted and repeated points, points on every subdomain edge, width
+    # 2h, where an edge point is held three times, and wider overlaps
+    dec = _spread_decomposition(n_sub, spread)
     edges = [e for sd in dec.subdomains for e in (sd.left, sd.right)]
     pts = data.draw(st.lists(st.one_of(st.floats(0.0, 8.0), st.sampled_from(edges)),
                              max_size=60))
@@ -279,18 +294,14 @@ def _assert_tables_equal(table, ref):
         assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
-@given(data=st.data(), n_sub=st.integers(1, 12),
-       overlap=st.one_of(st.floats(0.05, 0.95), st.just("2h")))
+@given(data=st.data(), n_sub=st.integers(1, 12), spread=SPREADS)
 @settings(max_examples=150, deadline=None)
-def test_window_table_matches_the_per_subdomain_loop(data, n_sub, overlap):
-    # unsorted and repeated points, points on every subdomain edge, and
-    # width 2h, where non-adjacent subdomains touch and an edge point is
-    # held three times
-    try:
-        dec = build_decomposition(EIGHT, n_sub, overlap) if overlap != "2h" \
-            else build_decomposition_from_width(EIGHT, n_sub, 16.0 / n_sub)
-    except TripleOverlapError:
-        reject()
+def test_window_table_matches_the_per_subdomain_loop(data, n_sub, spread):
+    # unsorted and repeated points, points on every subdomain edge, width
+    # 2h, where non-adjacent subdomains touch and an edge point is held
+    # three times, and wider overlaps, where a point is held up to six
+    # times
+    dec = _spread_decomposition(n_sub, spread)
     edges = [e for sd in dec.subdomains for e in (sd.left, sd.right)]
     pts = np.array(data.draw(st.lists(
         st.one_of(st.floats(0.0, 8.0), st.sampled_from(edges)), max_size=60)))
@@ -313,27 +324,29 @@ def test_window_table_rejects_points_outside_every_subdomain():
 
 
 @given(a=st.floats(-10.0, 10.0), span=st.floats(0.1, 20.0), n=st.integers(1, 64),
-       overlap=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+       spread=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                        st.floats(1.0, 5.0, exclude_min=True)))
 @settings(max_examples=300, deadline=None)
-def test_views_match_the_per_subdomain_build(a, span, n, overlap):
+def test_views_match_the_per_subdomain_build(a, span, n, spread):
+    # spread is an overlap fraction below 1, else a width in units of h
     dom = Interval(a, a + span)
+    h = dom.width / n
+    fraction, width = (spread, 2.0 * h / (2.0 - spread)) if spread < 1.0 else (None, spread * h)
     try:
-        dec = build_decomposition(dom, n, overlap)
+        dec = (build_decomposition(dom, n, spread) if fraction is not None
+               else build_decomposition_from_width(dom, n, width))
     except ValueError:
-        # a width rounded down to h or up past 2h
+        # a width rounded down to h, or an overlap lost to rounding
         reject()
-    width = 2.0 * (dom.width / n) / (2.0 - overlap)
     subdomains, windows = decomposition_reference.build(dom, n, width)
     assert dec.subdomains == subdomains
-    assert dec.window_params == windows
     assert json.dumps(dec.to_jsonable()) == json.dumps(
-        decomposition_reference.to_jsonable(dom, overlap, subdomains, windows))
+        decomposition_reference.to_jsonable(dom, fraction, subdomains, windows))
     # the ramps window_table reads: start -inf (end +inf) and width 1
     # where a window has no ramp
-    up = [(-np.inf, 1.0) if wp.up is None else (wp.up[0], wp.up[1] - wp.up[0])
-          for wp in windows]
-    down = [(np.inf, 1.0) if wp.down is None else (wp.down[1], wp.down[1] - wp.down[0])
-            for wp in windows]
+    up = [(-np.inf, 1.0) if up is None else (up[0], up[1] - up[0]) for up, _ in windows]
+    down = [(np.inf, 1.0) if down is None else (down[1], down[1] - down[0])
+            for _, down in windows]
     assert all(_same_bits(got, np.array(want)) for got, want in
                zip(dec.ramps, (*np.array(up).T, *np.array(down).T)))
 
@@ -344,55 +357,44 @@ def test_a_large_decomposition_builds_no_subdomain_object_until_asked():
     table = window_table(dec, pts)
     assert empty_subdomains(dec, pts) == [j for j, (ids, _, _) in enumerate(table, 1)
                                           if not len(ids)]
-    assert "subdomains" not in vars(dec) and "window_params" not in vars(dec)
-    assert dec.subdomain(100_000).right == 8.0
-    assert "subdomains" in vars(dec)
+    assert window(dec, 100_000, 8.0) == (1.0, 0.0)
+    assert "subdomains" not in vars(dec)
+    assert dec.subdomains[-1].right == 8.0
 
 
-def _pairwise_chain(domain, n, width):
-    """Neighbour sets from comparing every pair of subdomains, or the first
-    pair of non-adjacent subdomains that overlap."""
-    h = domain.width / n
-    centers = domain.a + (np.arange(n) + 0.5) * h
-    lefts = np.maximum(centers - width / 2.0, domain.a)
-    rights = np.minimum(centers + width / 2.0, domain.b)
-    overlaps = np.maximum.outer(lefts, lefts) < np.minimum.outer(rights, rights)
-    pairs = np.argwhere(np.triu(overlaps, k=1)).tolist()
-    far = [(i + 1, j + 1) for i, j in pairs if j - i > 1]
-    if far:
-        return far[0]
-    neighbors = [set() for _ in range(n)]
-    for i, j in pairs:
-        neighbors[i].add(j + 1)
-        neighbors[j].add(i + 1)
-    return [frozenset(s) for s in neighbors]
+def _pairwise_neighbors(domain, n, width):
+    return decomposition_reference.neighbors(*decomposition_reference.bounds(domain, n, width))
 
 
 @given(a=st.floats(-10.0, 0.0), span=st.floats(0.1, 20.0), n=st.integers(1, 12),
-       stretch=st.one_of(st.floats(1e-6, 1.0), st.just(1.0)))
+       stretch=st.one_of(st.floats(1e-6, 4.0), st.just(1.0)))
 @settings(max_examples=300, deadline=None)
 def test_neighbor_sets_match_the_pairwise_definition(a, span, n, stretch):
     # width h(1 + stretch): stretch 1 is width 2h, where rounding can make
-    # subdomains i and i + 2 overlap
+    # subdomains i and i + 2 overlap, and a wider stretch makes them
+    # overlap by design
     dom = Interval(a, a + span)
     width = dom.width / n * (1.0 + stretch)
-    want = _pairwise_chain(dom, n, width)
-    if isinstance(want, tuple):
-        with pytest.raises(TripleOverlapError,
-                           match=rf"^subdomains {want[0]} and {want[1]} overlap"):
-            build_decomposition_from_width(dom, n, width)
-        return
     try:
         dec = build_decomposition_from_width(dom, n, width)
-    except (TripleOverlapError, ValueError):
-        # a width rounded past 2h or down to h, rejected before any pair
+    except ValueError:
+        # a width rounded down to h
         reject()
-    assert [sd.neighbor_indices for sd in dec.subdomains] == want
+    assert [sd["neighbors"] for sd in dec.to_jsonable()["subdomains"]] == \
+        _pairwise_neighbors(dom, n, width)
 
 
-def test_triple_overlap_from_rounding_names_the_first_pair():
-    # width 2h: subdomains 1 and 3 should touch, but rounding makes them overlap
+def test_width_2h_builds_with_the_pairwise_neighbour_sets():
+    # width 2h: subdomains 1 and 3 should touch, but rounding makes them
+    # overlap, so they are neighbours
     dom = Interval(-0.5135055286275616, 3.187131374903806)
-    assert _pairwise_chain(dom, 4, 2.0 * dom.width / 4) == (1, 3)
-    with pytest.raises(TripleOverlapError, match="^subdomains 1 and 3 overlap"):
-        build_decomposition_from_width(dom, 4, 2.0 * dom.width / 4)
+    dec = build_decomposition_from_width(dom, 4, 2.0 * dom.width / 4)
+    want = _pairwise_neighbors(dom, 4, 2.0 * dom.width / 4)
+    assert want[0] == [2, 3]
+    assert [sd["neighbors"] for sd in dec.to_jsonable()["subdomains"]] == want
+
+
+def test_a_width_over_4h_makes_every_pair_neighbours():
+    dec = build_decomposition_from_width(Interval(0.0, 8.0), 4, 9.0)
+    assert [sd["neighbors"] for sd in dec.to_jsonable()["subdomains"]] == [
+        [2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]]

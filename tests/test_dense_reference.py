@@ -8,12 +8,13 @@ split, overlap cache or window tables of fbpinn.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import row_major_network as reference
 from fbpinn import networks
-from fbpinn.decomposition import Interval, build_decomposition, sample_collocation
+from fbpinn.decomposition import (Interval, build_decomposition,
+                                  build_decomposition_from_width, sample_collocation)
 from fbpinn.problems import SoftConstraint, make_single_frequency
 from fbpinn.scheduling import (alternating_schedule, colored_schedule,
                                explicit_schedule, parallel_schedule)
@@ -36,20 +37,23 @@ def dramp(t):
 
 
 def dense_windows(dec, x):
-    """(J, N) normalized windows and their x-derivatives: products of the
-    up and down cosine ramps on each closed subdomain, zero outside it,
-    divided by their sum."""
-    raw = np.zeros((dec.n_subdomains, len(x)))
+    """(J, N) normalized windows and their x-derivatives: on each closed
+    subdomain [left, right], the product of a cosine ramp rising over
+    [left, left + delta] (none on the first subdomain) and one falling
+    over [right - delta, right] (none on the last), zero outside it,
+    divided by the sum over every subdomain."""
+    J = dec.n_subdomains
+    raw = np.zeros((J, len(x)))
     draw = np.zeros_like(raw)
-    for j, (sd, wp) in enumerate(zip(dec.subdomains, dec.window_params)):
-        inside = (x >= sd.left) & (x <= sd.right)
+    for j, (left, right) in enumerate(zip(dec.lefts, dec.rights)):
+        inside = (x >= left) & (x <= right)
         v, dv = np.ones(len(x)), np.zeros(len(x))
-        if wp.up is not None:
-            s, e = wp.up
+        if j > 0:
+            s, e = left, left + dec.delta
             t = (x - s) / (e - s)
             v, dv = ramp(t), dramp(t) / (e - s)
-        if wp.down is not None:
-            s, e = wp.down
+        if j < J - 1:
+            s, e = right - dec.delta, right
             t = (e - x) / (e - s)
             v, dv = v * ramp(t), dv * ramp(t) - v * dramp(t) / (e - s)
         raw[j], draw[j] = np.where(inside, v, 0.0), np.where(inside, dv, 0.0)
@@ -89,9 +93,9 @@ def dense_loss(state):
         err = dense_sum(state, xb)[0] - np.asarray(prob.constraint.targets)
         boundary = prob.constraint.weight * np.mean(err * err)
     r = r - prob.rhs(x)
-    holders = sum((x >= sd.left) & (x <= sd.right) for sd in dec.subdomains)
+    holders = sum((x >= left) & (x <= right) for left, right in zip(dec.lefts, dec.rights))
     sq = r * r / len(x)
-    return sq.sum() + boundary, sq[holders == 1].sum(), sq[holders == 2].sum(), boundary
+    return sq.sum() + boundary, sq[holders == 1].sum(), sq[holders >= 2].sum(), boundary
 
 
 def dense_solution(state, x):
@@ -121,7 +125,11 @@ def check_against_dense(state, xs):
 @st.composite
 def setups(draw):
     J = draw(st.integers(1, 8))
-    dec = build_decomposition(DOM, J, draw(st.floats(0.05, 0.95)))
+    if draw(st.booleans()):
+        dec = build_decomposition(DOM, J, draw(st.floats(0.05, 0.95)))
+    else:
+        # widths up to 5h, where a point lies in up to six subdomains
+        dec = build_decomposition_from_width(DOM, J, draw(st.floats(1.05, 5.0)) * DOM.width / J)
     soft = draw(st.booleans())
     constraint = None
     if soft:
@@ -151,7 +159,21 @@ def setups(draw):
                 rounds=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32 - 1)))
 
 
+def wide_examples(test):
+    """test, with the widths 2.9h, 3.5h and 4.5h of J = 7 (up to 3, 4 and
+    5 holders per point) always among its examples, with and without a
+    coarse network."""
+    for stretch in (2.9, 3.5, 4.5):
+        for coarse in (False, True):
+            dec = build_decomposition_from_width(DOM, 7, stretch * DOM.width / 7)
+            schedule = alternating_schedule(7) if coarse else parallel_schedule(7)
+            test = example(setup=dict(dec=dec, constraint=None, schedule=schedule,
+                                      coarse=coarse, p=2, rounds=3, seed=7))(test)
+    return test
+
+
 @given(setup=setups())
+@wide_examples
 @settings(max_examples=30, deadline=None)
 def test_decomposed_path_matches_the_dense_reference(setup):
     prob = make_single_frequency(3.0, DOM)

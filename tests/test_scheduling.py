@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,21 @@ def test_explicit_allows_partial_cover_and_repeats():
         explicit_schedule(3, [])
     with pytest.raises(ValueError):
         explicit_schedule(3, [[0]])
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, True, "2", np.float64(2.0), None])
+def test_a_group_index_that_is_not_an_integer_is_rejected(index):
+    # int() would have turned 1.5 and True into 1 and "2" into 2
+    for build in (lambda: explicit_schedule(4, [[index]]),
+                  lambda: colored_schedule(4, [[1, 3, index], [4]])):
+        with pytest.raises(ValueError, match="is not an integer"):
+            build()
+
+
+def test_numpy_integer_indices_are_accepted():
+    sched = explicit_schedule(np.int64(3), [np.arange(1, 4)])
+    assert active_set(sched, 0).active == frozenset({1, 2, 3})
+    assert all(type(j) is int for j in active_set(sched, 0).active)
 
 
 def test_active_set_round_validation():

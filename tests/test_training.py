@@ -3,18 +3,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbpinn import networks, training
-from fbpinn.decomposition import (Interval, TripleOverlapError,
-                                  build_decomposition,
+from fbpinn.decomposition import (Interval, build_decomposition,
                                   build_decomposition_from_width,
                                   empty_subdomains,
                                   sample_collocation, window)
 from fbpinn.networks import NumericalFailureError, eval_batch, loss_gradient
 from fbpinn.problems import SoftConstraint, make_single_frequency, tanh_constraint
-from fbpinn.scheduling import (active_set, alternating_schedule,
+from fbpinn.scheduling import (ActiveSet, active_set, alternating_schedule,
                                colored_schedule, parallel_schedule)
 from fbpinn.optimizers import make_optimizer
 from fbpinn.training import (create_state, global_loss, local_loss,
@@ -345,17 +344,15 @@ MEMBERSHIP_DOM = Interval(-4.0, 4.0)
 
 
 @given(data=st.data(), n_sub=st.integers(1, 9),
-       overlap=st.one_of(st.floats(0.05, 0.95), st.just("2h")),
+       spread=st.one_of(st.floats(0.05, 0.95), st.just(2.0), st.floats(1.05, 5.0)),
        soft=st.lists(st.floats(-4.0, 4.0), max_size=4))
 @settings(max_examples=150, deadline=None)
-def test_create_state_tables_agree_with_classify_points(data, n_sub, overlap, soft):
+def test_create_state_tables_agree_with_classify_points(data, n_sub, spread, soft):
+    # spread is an overlap fraction below 1, else a width in units of h:
     # width 2h makes non-adjacent subdomains touch, so a point can be held
-    # three times
-    try:
-        dec = build_decomposition(MEMBERSHIP_DOM, n_sub, overlap) if overlap != "2h" \
-            else build_decomposition_from_width(MEMBERSHIP_DOM, n_sub, 16.0 / n_sub)
-    except TripleOverlapError:
-        reject()
+    # three times, and wider ones hold points up to six times
+    dec = (build_decomposition(MEMBERSHIP_DOM, n_sub, spread) if spread < 1.0 else
+           build_decomposition_from_width(MEMBERSHIP_DOM, n_sub, spread * 8.0 / n_sub))
     edges = [e for sd in dec.subdomains for e in (sd.left, sd.right)]
     pts = np.array(data.draw(st.lists(
         st.one_of(st.floats(-4.0, 4.0), st.sampled_from(edges)), min_size=1, max_size=40)))
@@ -577,6 +574,28 @@ def test_local_loss_rejects_an_index_outside_the_subdomains(j):
         local_loss(state, j)
 
 
+@pytest.mark.parametrize("j", [1.5, 1.0, True, "1"])
+def test_local_loss_rejects_an_index_that_is_not_an_integer(j):
+    state = coarse_state(seed=3, n_sub=2)
+    with pytest.raises(ValueError, match="is not an integer"):
+        local_loss(state, j)
+
+
+@pytest.mark.parametrize("active, message", [
+    (frozenset(), "must not be empty"),
+    (frozenset({1.0}), "is not an integer"),
+    (frozenset({True}), "is not an integer"),
+    (frozenset({4}), r"out of range 1\.\.3"),
+])
+def test_train_round_rejects_a_bad_active_set_before_any_step(active, message):
+    state = small_state(n_sub=3, n_pts=40)
+    before = snapshot(state.params)
+    with pytest.raises(ValueError, match=message):
+        train_round(state, ActiveSet(0, active))
+    assert same_params(before, state.params)
+    assert (state.step, state.round) == (0, 0)
+
+
 def test_coarse_network_contributes_to_evaluation():
     state = coarse_state(seed=2)
     x = 1.3
@@ -776,19 +795,39 @@ def test_cache_after_train_matches_fresh_refresh(kind, p, constraint):
     _same_cache(state.cache, refresh_overlap_cache(state))
 
 
+@pytest.mark.parametrize("J", [4, 7])
+@pytest.mark.parametrize("stretch", [2.9, 3.5, 4.5])
+@pytest.mark.parametrize("coarse", [False, True], ids=["local", "coarse"])
+@pytest.mark.parametrize("kind", ["parallel", "alternating"])
+def test_cache_after_train_matches_fresh_refresh_at_wide_overlaps(kind, coarse, stretch, J):
+    # widths of 2.9h, 3.5h and 4.5h hold points in up to 3, 4 and 5
+    # subdomains (at J = 7), so a row takes up to 4 neighbours'
+    # contributions, and the coarse one
+    prob = make_single_frequency(3.0, DOM)
+    dec = build_decomposition_from_width(DOM, J, stretch * DOM.width / J)
+    state = create_state(prob, dec, sample_collocation(DOM, 60), layer_sizes=[1, 6, 1],
+                         master_seed=2, communication_interval=2,
+                         coarse_layer_sizes=[1, 6, 1] if coarse else None)
+    sched = parallel_schedule(J) if kind == "parallel" else alternating_schedule(J)
+    train(state, sched, 3, record_interval=2, l2_points=50)
+    _same_cache(state.cache, refresh_overlap_cache(state))
+
+
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("coarse", [False, True], ids=["local", "coarse"])
-@pytest.mark.parametrize("kind", ["parallel", "alternating", "colored", "parallel-2h"])
+@pytest.mark.parametrize("kind", ["parallel", "alternating", "colored", "parallel-2h",
+                                  "parallel-3.5h"])
 @pytest.mark.parametrize("constraint", ["hard", "soft"])
 def test_row_pass_matches_the_per_network_reference(constraint, kind, coarse, p):
     # one residual, loss-derivative and contribution pass over every active
     # network's rows takes the per-network loop's steps bit for bit:
     # parameters, caches, each network's loss and the loss split after a
-    # few rounds. Width 2h
-    # with points on every subdomain edge holds some points three times,
-    # so a row gets two neighbours' contributions.
-    if kind == "parallel-2h":
-        dec = build_decomposition_from_width(DOM, 4, DOM.width / 2)
+    # few rounds. Width 2h with points on every subdomain edge holds some
+    # points three times, so a row gets two neighbours' contributions;
+    # width 3.5h holds the middle points four times.
+    if kind.startswith("parallel-"):
+        width = float(kind.split("-")[1][:-1]) * DOM.width / 4
+        dec = build_decomposition_from_width(DOM, 4, width)
         edges = [e for sd in dec.subdomains for e in (sd.left, sd.right)]
         pts = np.unique(np.append(sample_collocation(DOM, 60), edges))
     else:
@@ -801,10 +840,11 @@ def test_row_pass_matches_the_per_network_reference(constraint, kind, coarse, p)
                             coarse_layer_sizes=[1, 6, 1] if coarse else None)
 
     sched = {"parallel": parallel_schedule(4), "parallel-2h": parallel_schedule(4),
+             "parallel-3.5h": parallel_schedule(4),
              "alternating": alternating_schedule(4),
              "colored": colored_schedule(4, [[1, 3], [2, 4]])}[kind]
     state, twin = make(), make()
-    assert len(state.rows.routes) == (2 if kind == "parallel-2h" else 1) + coarse
+    assert len(state.rows.routes) == {"parallel-2h": 2, "parallel-3.5h": 3}.get(kind, 1) + coarse
     train(state, sched, 5, record_interval=2, l2_points=50)
     workspaces, cache = per_network.train_reference(twin, sched, 5)
     assert same_params(snapshot(twin.params), state.params)

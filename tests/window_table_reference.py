@@ -23,19 +23,20 @@ def _dramp(t):
     return np.where(inside, 0.5 * np.pi * np.sin(np.pi * np.clip(t, 0.0, 1.0)), 0.0)
 
 
-def _raw_window(wp, x):
-    """Unnormalized window and derivative; assumes x inside the subdomain."""
+def _raw_window(up, down, x):
+    """Unnormalized window and derivative of the ramps up and down, each
+    (start, end) or None; assumes x inside the subdomain."""
     x = np.asarray(x, dtype=float)
     val = np.ones_like(x)
     dval = np.zeros_like(x)
-    if wp.up is not None:
-        s, e = wp.up
+    if up is not None:
+        s, e = up
         t = (x - s) / (e - s)
         u = _ramp(t)
         du = _dramp(t) / (e - s)
         val, dval = u, du
-    if wp.down is not None:
-        s, e = wp.down
+    if down is not None:
+        s, e = down
         t = (e - x) / (e - s)
         d = _ramp(t)
         dd = -_dramp(t) / (e - s)
@@ -51,9 +52,15 @@ def window_table(decomposition, points):
     total = np.zeros_like(pts)
     dtotal = np.zeros_like(pts)
     raws = []
-    for sd, wp in zip(decomposition.subdomains, decomposition.window_params):
-        idx = np.nonzero((pts >= sd.left) & (pts <= sd.right))[0]
-        v, dv = _raw_window(wp, pts[idx])
+    last, delta = decomposition.n_subdomains - 1, decomposition.delta
+    for k, (left, right) in enumerate(zip(decomposition.lefts.tolist(),
+                                          decomposition.rights.tolist())):
+        # subdomain k+1's window rises from its left bound and falls to its
+        # right bound over delta, but not at the domain's two ends
+        up = None if k == 0 else (left, left + delta)
+        down = None if k == last else (right - delta, right)
+        idx = np.nonzero((pts >= left) & (pts <= right))[0]
+        v, dv = _raw_window(up, down, pts[idx])
         raws.append((idx, v, dv))
         total[idx] += v
         dtotal[idx] += dv
