@@ -72,6 +72,9 @@ MATRIX = [
         4, 20, collocation_points=400,
         sweep={"subdomains": [4, 8], "communication_intervals": [1, 5]})),
     ("points-3001", "run", _config(16, 20, collocation_points=3001)),
+    # exits 3 at step 2 and leaves partial artifacts
+    ("blowup-sgd-j4", "run", _config(4, 10, optimizer="sgd", learning_rate=1e300,
+                                     collocation_points=200, record_interval=1)),
 ]
 
 

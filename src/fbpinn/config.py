@@ -193,7 +193,7 @@ def validate_config(cfg):
              "training.record_interval must be an integer >= 1")
     _require(_is_int(t.collocation_points) and t.collocation_points >= 2,
              "training.collocation_points must be an integer >= 2")
-    _require(_is_int(t.seed), "training.seed must be an integer")
+    _require(_is_int(t.seed) and t.seed >= 0, "training.seed must be an integer >= 0")
 
     s = cfg.schedule
     _require(s.kind in ("parallel", "alternating", "colored", "explicit"),

@@ -12,10 +12,7 @@ Inside the passes every activation, tangent and adjoint is a C-contiguous
 rows and its gradient is a row sum, so each elementwise pass runs one long
 contiguous loop. The first layer (fan-in 1) is the broadcast product
 W0 * x and its tangent is W0 itself; the output layer's adjoint (fan-out 1)
-is W.T * zbar. Against the earlier (rows, width) layout the products reach
-BLAS with their operands in swapped roles and the bias sums are pairwise,
-so results differ from it in the last bits. Neither layout gives a row the
-same bits at every batch size.
+is W.T * zbar. A row's bits may differ from one batch size to another.
 
 The forward's tape keeps each hidden layer's tanh derivative 1 - a^2 beside
 its activation and tangent, so the backward reads it instead of computing

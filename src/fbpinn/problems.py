@@ -21,6 +21,7 @@ class HardConstraint:
 
     multiplier: object
     multiplier_prime: object
+    points, targets, weight = (), (), 0.0     # no soft boundary points, no penalty
 
     @property
     def kind(self):
@@ -36,6 +37,8 @@ class SoftConstraint:
     points: tuple
     targets: tuple
     weight: float = 1.0
+    multiplier = staticmethod(np.ones_like)       # c = 1: the ansatz is the raw sum
+    multiplier_prime = staticmethod(np.zeros_like)
 
     def __post_init__(self):
         if len(self.points) == 0:
@@ -93,8 +96,9 @@ class UndefinedL2Error(ValueError):
 def _exact_on_error_grid(problem, x):
     """The exact solution at the relative L2 error's grid points x;
     UndefinedL2Error when its norm there underflows to 0 or overflows."""
-    exact = np.asarray(problem.exact_solution(x), dtype=float)
-    norm = float(np.linalg.norm(exact))
+    with np.errstate(invalid="ignore", over="ignore"):
+        exact = np.asarray(problem.exact_solution(x), dtype=float)
+        norm = float(np.linalg.norm(exact))
     if not 0.0 < norm < math.inf:
         raise UndefinedL2Error(f"the exact solution's L2 norm on the {len(x)}-point "
                                f"error grid is {norm!r}, so the relative L2 error "

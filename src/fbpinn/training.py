@@ -29,8 +29,7 @@ import numpy as np
 from .decomposition import (Decomposition, _collocation_in_domain, index_list,
                             sample_collocation, window_table)
 from .networks import (NumericalFailureError, ParamGradient, _forward,
-                       eval_batch, eval_values, init_params, loss_gradient,
-                       work_size)
+                       eval_values, init_params, loss_gradient, work_size)
 from .optimizers import make_optimizer
 from .problems import _exact_on_error_grid
 from .scheduling import _check_group, parallel_schedule, active_set as schedule_active_set
@@ -133,25 +132,23 @@ class _ForwardMemo:
     computes once and shares. u and du hold each row's network value and
     input derivative, those of network j's rows being its current ones
     while tapes holds j: the tape of that forward (None for network 0,
-    which never steps, and when keep_tapes is off, as in a memo that only
-    evaluates), dropped when network j's optimizer steps. A memo of a state
-    without a coarse network starts with tapes[0]: its block is empty.
-    active[order] holds _active_rows for the networks in order. grads[j - 1]
-    receives network j's gradient at each of its steps: rows of one
-    (J, parameters) matrix, allocated with a memo that keeps tapes."""
+    which never steps), dropped when network j's optimizer steps. A memo of
+    a state without a coarse network starts with tapes[0]: its block is
+    empty. active[order] holds _active_rows for the networks in order.
+    grads[j - 1] receives network j's gradient at each of its steps: rows
+    of one (J, parameters) matrix."""
 
     u: np.ndarray
     du: np.ndarray
-    keep_tapes: bool = True
+    grads: list
     tapes: dict = field(default_factory=dict)
     active: dict = field(default_factory=dict)
-    grads: list | None = None
 
 
-def _memo(state, keep_tapes=True):
+def _memo(state):
     n_rows = len(state.rows.x)
-    grads = ParamGradient.rows_like(state.params[0], state.n_subdomains) if keep_tapes else None
-    return _ForwardMemo(np.empty(n_rows), np.empty(n_rows), keep_tapes, grads=grads,
+    return _ForwardMemo(np.empty(n_rows), np.empty(n_rows),
+                        ParamGradient.rows_like(state.params[0], state.n_subdomains),
                         tapes={} if state.coarse_params is not None else {0: None})
 
 
@@ -159,8 +156,6 @@ def _memo(state, keep_tapes=True):
 class _GlobalTables:
     x: np.ndarray
     interior_mask: np.ndarray     # held by one subdomain; the rest are overlap points
-    n_bc: int                     # soft boundary points; 0 under a hard constraint
-    bc_weight: float
 
 
 @dataclass
@@ -238,22 +233,16 @@ def create_state(problem, decomposition, points, *, layer_sizes,
 def _row_tables(problem, decomposition, points, coarse=False):
     """(rows, tables): the row table and the global tables, from one
     window_table pass over the collocation points, then the soft boundary
-    points, behind network 0's block of every point when coarse. A point
-    held by more than one subdomain is an overlap point."""
+    points (none under a hard constraint), behind network 0's block of
+    every point when coarse. A point held by more than one subdomain is an
+    overlap point."""
     pts = _collocation_in_domain(decomposition.domain, points)
     n_points = len(pts)
     constraint = problem.constraint
-    if constraint.kind == "hard":
-        bc_x, bc_targets, bc_weight = np.zeros(0), np.zeros(0), 0.0
-        multiplier, multiplier_prime = constraint.multiplier, constraint.multiplier_prime
-    else:
-        bc_x = np.asarray(constraint.points, dtype=float)
-        bc_targets = np.asarray(constraint.targets, dtype=float)
-        bc_weight = float(constraint.weight)
-        for xb in bc_x:
-            if not problem.domain.contains(xb):
-                raise ValueError(f"soft boundary point {xb!r} outside the domain")
-        multiplier, multiplier_prime = np.ones_like, np.zeros_like
+    bc_x = np.asarray(constraint.points, dtype=float)
+    for xb in bc_x:
+        if not problem.domain.contains(xb):
+            raise ValueError(f"soft boundary point {xb!r} outside the domain")
 
     # Row id k is point k of all_x, so each network's rows, in ascending
     # row id, are its member collocation points, then its boundary points;
@@ -277,11 +266,13 @@ def _row_tables(problem, decomposition, points, coarse=False):
     dom = problem.domain
     inputs, scale = _norm_inputs(np.append(dom.a, decomposition.lefts),
                                  np.append(dom.b, decomposition.rights), bounds, x)
-    rhs = np.concatenate([np.asarray(problem.rhs(pts), dtype=float), bc_targets])[row_ids]
-    cons = np.concatenate([multiplier(pts), np.zeros(len(bc_x))])[row_ids]
-    dcons = np.concatenate([multiplier_prime(pts), np.ones(len(bc_x))])[row_ids]
+    with np.errstate(invalid="ignore", over="ignore"):
+        rhs = np.concatenate([np.asarray(problem.rhs(pts), dtype=float),
+                              np.asarray(constraint.targets, dtype=float)])[row_ids]
+    cons = np.concatenate([constraint.multiplier(pts), np.zeros(len(bc_x))])[row_ids]
+    dcons = np.concatenate([constraint.multiplier_prime(pts), np.ones(len(bc_x))])[row_ids]
     dr_du, dr_ddu = dcons * win + cons * dwin, cons * (win * scale)
-    gain = np.where(member, 2.0 / n_points, 2.0 * bc_weight / max(len(bc_x), 1))
+    gain = np.where(member, 2.0 / n_points, 2.0 * constraint.weight / max(len(bc_x), 1))
 
     # One stable sort of the level-1 rows by row id puts each point's
     # holders together, in ascending subdomain order. Layer 0 routes network
@@ -307,20 +298,20 @@ def _row_tables(problem, decomposition, points, coarse=False):
         scale=scale, win=win, dwin=dwin, member=member, owned=owned, rhs=rhs, cons=cons,
         dcons=dcons, dr_du=dr_du, dr_ddu=dr_ddu, gain=gain, routes=routes,
         member_routes=member_routes)
-    return t, _GlobalTables(pts, interior_mask, len(bc_x), bc_weight)
+    return t, _GlobalTables(pts, interior_mask)
 
 
 def _forwards(state, order, memo):
-    """Bring the memo's rows of every network in order up to date: one
-    tangent forward of each network whose parameters moved since its last."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        for j in order:
-            if j not in memo.tapes:
-                rows = slice(*state.rows.bounds[j:j + 2])
-                u, du, tape = _forward(state.params[j - 1] if j else state.coarse_params,
-                                       state.rows.inputs[rows])
-                memo.u[rows], memo.du[rows] = u, du
-                memo.tapes[j] = tape if memo.keep_tapes and j else None
+    """Bring the memo's rows of every network in order up to date, under the
+    caller's np.errstate: one tangent forward of each network whose
+    parameters moved since its last."""
+    for j in order:
+        if j not in memo.tapes:
+            rows = slice(*state.rows.bounds[j:j + 2])
+            u, du, tape = _forward(state.params[j - 1] if j else state.coarse_params,
+                                   state.rows.inputs[rows])
+            memo.u[rows], memo.du[rows] = u, du
+            memo.tapes[j] = tape if j else None
 
 
 def _dvalue(t, rows, u, du):
@@ -338,10 +329,10 @@ def refresh_overlap_cache(state, memo=None):
     route layer's scatter, so each row sums its sources in ascending order,
     level 0 first."""
     t = state.rows
-    memo = memo if memo is not None else _memo(state, keep_tapes=False)
+    memo = memo if memo is not None else _memo(state)
     values, dvalues = np.zeros(len(t.x)), np.zeros(len(t.x))
-    _forwards(state, range(state.n_subdomains + 1), memo)
     with np.errstate(invalid="ignore", over="ignore"):
+        _forwards(state, range(state.n_subdomains + 1), memo)
         contrib = t.win * memo.u
         for src, dst in t.routes:
             values[dst] += contrib[src]
@@ -366,10 +357,10 @@ def _residual(t, rows, u, du, cache):
     return value
 
 
-def _penalty(tables, err):
+def _penalty(constraint, err):
     """Soft boundary penalty of the errors err at boundary rows (0 when
     there are none)."""
-    return tables.bc_weight * err.dot(err) / max(tables.n_bc, 1)
+    return constraint.weight * err.dot(err) / max(len(constraint.points), 1)
 
 
 def _active_rows(state, order, memo=None):
@@ -399,19 +390,18 @@ def _loss_terms(state, rows, spans, cache, u, du):
     one residual and loss-derivative pass over all the rows, then each
     network's slice. A network's loss is its squared member residuals,
     scaled by the global point count, plus the penalty of its soft
-    boundary rows."""
-    t, tables = state.rows, state.tables
-    n = len(tables.x)
-    with np.errstate(invalid="ignore", over="ignore"):
-        r = _residual(t, rows, u, du, cache)
-        losses = []
-        for lo, mid, hi in spans:
-            rm = r[lo:mid]
-            # ndarray.dot: the same BLAS dot as @, with less call overhead
-            losses.append(rm.dot(rm) / n + _penalty(tables, r[mid:hi]))
-        gu = np.multiply(r, t.gain[rows], out=r)    # the residual's last use
-        gd = gu * t.dr_ddu[rows]
-        gu *= t.dr_du[rows]
+    boundary rows. Callers run it under np.errstate, as _forwards."""
+    t, constraint = state.rows, state.problem.constraint
+    n = len(state.tables.x)
+    r = _residual(t, rows, u, du, cache)
+    losses = []
+    for lo, mid, hi in spans:
+        rm = r[lo:mid]
+        # ndarray.dot: the same BLAS dot as @, with less call overhead
+        losses.append(rm.dot(rm) / n + _penalty(constraint, r[mid:hi]))
+    gu = np.multiply(r, t.gain[rows], out=r)    # the residual's last use
+    gd = gu * t.dr_ddu[rows]
+    gu *= t.dr_du[rows]
     return [(loss, gu[lo:hi], gd[lo:hi]) for loss, (lo, _, hi) in zip(losses, spans)]
 
 
@@ -420,18 +410,18 @@ def _loss_split(state, cache, memo=None):
     level-1 holder's live network against `cache`: the ODE residual at
     collocation points, plus the soft boundary penalty. Returns the split
     and the residual at every collocation point."""
-    t = state.tables
+    t, constraint = state.tables, state.problem.constraint
     n = len(t.x)
-    memo = memo if memo is not None else _memo(state, keep_tapes=False)
-    _forwards(state, range(1, state.n_subdomains + 1), memo)
+    memo = memo if memo is not None else _memo(state)
     rows, level1 = state.rows, slice(state.rows.bounds[1], None)
     with np.errstate(invalid="ignore", over="ignore"):
+        _forwards(state, range(1, state.n_subdomains + 1), memo)
         res = _residual(rows, level1, memo.u[level1], memo.du[level1], cache)
-        by_row = np.zeros(n + t.n_bc)
+        by_row = np.zeros(n + len(constraint.points))
         owned = rows.owned[level1]
         by_row[rows.row_ids[level1][owned]] = res[owned]
         r, err = by_row[:n], by_row[n:]
-        boundary = float(_penalty(t, err))
+        boundary = float(_penalty(constraint, err))
         squared = r * r
         split = LossBreakdown(float(np.sum(squared) / n) + boundary,
                               float(np.sum(squared[t.interior_mask]) / n),
@@ -462,43 +452,45 @@ def global_loss(state):
     into interior and overlap parts (plus the soft boundary penalty). The
     split runs against a cache refreshed from the current parameters, so
     it is the true global loss whatever state.cache holds."""
-    memo = _memo(state, keep_tapes=False)
+    memo = _memo(state)
     return _checked_loss(state, refresh_overlap_cache(state, memo), memo)
 
 
-def local_loss(state, j, cache=None):
+def local_loss(state, j):
     """Subdomain j's training loss: squared residuals over its member points,
     scaled by the global point count, plus the penalty of its soft boundary
-    rows, with foreign contributions taken from the cache."""
+    rows, with foreign contributions taken from state.cache."""
     _check_group([j], state.n_subdomains, "subdomain")
-    rows, spans = _active_rows(state, (j,))
+    memo = _memo(state)
+    rows, spans = _active_rows(state, (j,), memo)
     with np.errstate(invalid="ignore", over="ignore"):
-        u, du = eval_batch(state.params[j - 1], state.rows.inputs[rows])
-    (loss, _, _), = _loss_terms(state, rows, spans,
-                                cache if cache is not None else state.cache, u, du)
+        _forwards(state, (j,), memo)
+        (loss, _, _), = _loss_terms(state, rows, spans, state.cache,
+                                    memo.u[rows], memo.du[rows])
     return float(loss)
 
 
 def _step(state, order, memo):
     """One optimizer step of each network in order against state.cache: one
     loss-term pass over all their rows, then each network's gradient from
-    its slice and its optimizer step."""
+    its slice and its optimizer step, all under one np.errstate."""
     state.step += 1
-    _forwards(state, order, memo)
-    rows, spans = _active_rows(state, order, memo)
-    terms = _loss_terms(state, rows, spans, state.cache, memo.u[rows], memo.du[rows])
-    for j, term in zip(order, terms):
-        own = slice(*state.rows.bounds[j:j + 2])
-        forward = memo.u[own], memo.du[own], memo.tapes.pop(j)
-        try:
-            _, grad = loss_gradient(state.params[j - 1], state.rows.inputs[own],
-                                    lambda u, du, term=term: term, forward,
-                                    memo.grads[j - 1])
-        except NumericalFailureError as err:
-            err.subdomain = j
-            err.step = state.step
-            raise
-        state.optimizers[j - 1].step(state.params[j - 1], grad)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _forwards(state, order, memo)
+        rows, spans = _active_rows(state, order, memo)
+        terms = _loss_terms(state, rows, spans, state.cache, memo.u[rows], memo.du[rows])
+        for j, term in zip(order, terms):
+            own = slice(*state.rows.bounds[j:j + 2])
+            forward = memo.u[own], memo.du[own], memo.tapes.pop(j)
+            try:
+                _, grad = loss_gradient(state.params[j - 1], state.rows.inputs[own],
+                                        lambda u, du, term=term: term, forward,
+                                        memo.grads[j - 1])
+            except NumericalFailureError as err:
+                err.subdomain = j
+                err.step = state.step
+                raise
+            state.optimizers[j - 1].step(state.params[j - 1], grad)
 
 
 def _train_round(state, active, on_step, memo):
@@ -522,7 +514,7 @@ class _EvalGrid:
     """A point set's per-subdomain tables for value-only evaluation."""
 
     x: np.ndarray
-    cons: np.ndarray | float     # the hard constraint's multiplier; 1.0 under a soft one
+    cons: np.ndarray             # the constraint's multiplier: 1 under a soft one
     entries: list                # per subdomain (rows of x, win, x_hat)
     coarse_value: np.ndarray | float   # 0.0 without a coarse network, frozen in _train()
 
@@ -543,16 +535,14 @@ def _grid_shares(decomposition, x):
 
 
 def _make_eval_grid(state, x):
-    constraint = state.problem.constraint
     entries = _grid_shares(state.decomposition, x)
     coarse_value = 0.0
     if state.coarse_params is not None:
         center, halfwidth = state.coarse_norm
         with np.errstate(invalid="ignore", over="ignore"):
             coarse_value = eval_values(state.coarse_params, (x - center) / halfwidth)
-    cons = (np.asarray(constraint.multiplier(x), dtype=float)
-            if constraint.kind == "hard" else 1.0)
-    return _EvalGrid(x=x, cons=cons, entries=entries, coarse_value=coarse_value)
+    return _EvalGrid(x=x, cons=np.asarray(state.problem.constraint.multiplier(x), dtype=float),
+                     entries=entries, coarse_value=coarse_value)
 
 
 def _grid_solution(state, grid):
@@ -592,8 +582,9 @@ def train(state, schedule, rounds, *, record_interval=10, l2_points=None,
     """Run `rounds` schedule-driven rounds, recording the stale-cache loss
     split and the relative L2 error on a dense grid every record_interval
     optimizer steps (and at the final step). On numerical failure the
-    partial report is attached to the raised error; a final loss or L2
-    that is not finite fails at the final step.
+    partial report is attached to the raised error. A loss that is not
+    finite fails at the step it was taken at: the initial loss before the
+    first step, the final loss or L2 at the final step.
 
     The initial and final losses are the loss split against state.cache,
     which must be fresh when train is called: create_state,
@@ -613,14 +604,13 @@ def _check_rounds(state, schedule, rounds):
 
 
 def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
-           report=None, phase="fbpinn", step_offset=0, check_final=True):
+           report=None, phase="fbpinn", step_offset=0):
     """`steps` optimizer steps, recorded and reported as train describes:
     whole rounds of schedule, or with schedule None steps of a _lone_state's
     network, which has no rounds and no cache to refresh; its records' round
-    is then the number of steps taken before. With check_final False the
-    final loss and L2 are returned unchecked (the coarse phase's: a blown-up
-    coarse phase fails at the local phase's first step). A failure's step
-    is numbered as the records are, from step_offset."""
+    is then the number of steps taken before. An initial loss that is not
+    finite fails at the step it was taken at. A failure's step is numbered
+    as the records are, from step_offset."""
     l2_points = l2_points if l2_points is not None else 10 * len(state.tables.x)
     for name, value, least in (("steps", steps, 1), ("record_interval", record_interval, 1),
                                ("l2_points", l2_points, 2)):
@@ -635,11 +625,18 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
     # step's gradient. Network 0's comes first: in the first refresh, it
     # would sit on top of the level-1 tapes.
     memo = _memo(state)
-    _forwards(state, range(state.n_subdomains + 1), memo)
-    if report.initial_loss is None:
-        report.initial_loss = _checked_loss(state, state.cache, memo).total
+    with np.errstate(invalid="ignore", over="ignore"):
+        _forwards(state, range(state.n_subdomains + 1), memo)
     final_step = state.step + steps
     final = {}
+
+    def finite_loss(name, *l2):
+        # the split against state.cache; its total and any l2 must be finite
+        loss = _checked_loss(state, state.cache, memo)
+        if not np.isfinite([loss.total, *l2]).all():
+            raise NumericalFailureError(f"non-finite {name} loss {loss.total!r}"
+                                        + "".join(f" or relative L2 error {v!r}" for v in l2))
+        return loss
 
     def on_step():
         s = state.step
@@ -657,6 +654,8 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
                 bd.overlap, bd.boundary, l2))
 
     try:
+        if report.initial_loss is None:
+            report.initial_loss = finite_loss("initial").total
         if schedule is None:
             for _ in range(steps):
                 _step(state, (1,), memo)
@@ -666,11 +665,7 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
             for _ in range(steps // state.communication_interval):
                 _train_round(state, schedule_active_set(schedule, state.round),
                              on_step, memo)
-        final_loss = _checked_loss(state, state.cache, memo)
-        if check_final and not np.isfinite([final_loss.total, final["l2"]]).all():
-            raise NumericalFailureError(
-                f"non-finite final loss {final_loss.total!r} or relative L2 "
-                f"error {final['l2']!r}")
+        final_loss = finite_loss("final", final["l2"])
     except NumericalFailureError as err:
         report.wall_time_s += time.perf_counter() - started
         err.step = (err.step if err.step is not None else state.step) + step_offset
@@ -720,8 +715,8 @@ def train_coarse_then_local(state, coarse_epochs, coarse_points, local_rounds,
     grid, then freeze it bitwise and train the local networks around it. With
     coarse_epochs=0 the coarse network contributes its untrained
     initialization and the run degenerates to plain decomposed training.
-    A numerical failure in the first phase names the coarse network as its
-    subdomain."""
+    A numerical failure in the first phase, its final check included, names
+    the coarse network as its subdomain."""
     if state.coarse_params is None:
         raise ValueError("state was created without a coarse network")
     if not isinstance(coarse_epochs, (int, np.integer)) or coarse_epochs < 0:
@@ -737,7 +732,7 @@ def train_coarse_then_local(state, coarse_epochs, coarse_points, local_rounds,
             _train(lone, None, int(coarse_epochs), record_interval=record_interval,
                    l2_points=l2_points if l2_points is not None
                    else 10 * len(state.tables.x),
-                   report=report, phase="coarse", check_final=False)
+                   report=report, phase="coarse")
         except NumericalFailureError as err:
             err.subdomain = "coarse"
             raise

@@ -117,7 +117,7 @@ def _residual(ws, u, du, bg, dbg):
 
 def _loss_fn(state, ws, bg, dbg):
     """Network ws.index's loss closure against its frozen background."""
-    t = state.tables
+    t, soft = state.tables, state.problem.constraint
     n, n_own = len(t.x), ws.n_own
     hard = ws.cons is not None
     dr_du = ws.dcons * ws.row_win + ws.cons * ws.dwin if hard else ws.dwin
@@ -132,8 +132,9 @@ def _loss_fn(state, ws, bg, dbg):
         gd = ru * dr_ddu
         if len(r) > n_own:
             err = r[n_own:]
-            loss = loss + t.bc_weight * (err @ err) / t.n_bc
-            gu = np.concatenate([gu, (2.0 * t.bc_weight / t.n_bc) * err * ws.row_win[n_own:]])
+            n_bc = len(soft.points)
+            loss = loss + soft.weight * (err @ err) / n_bc
+            gu = np.concatenate([gu, (2.0 * soft.weight / n_bc) * err * ws.row_win[n_own:]])
             gd = np.concatenate([gd, np.zeros(len(err))])
         return loss, gu, gd
 
@@ -150,16 +151,16 @@ def local_loss(state, workspaces, cache, j):
 
 def loss_split(state, workspaces, cache):
     """The loss split of every row's owner against cache."""
-    t = state.tables
-    n = len(t.x)
-    by_row = np.zeros(n + t.n_bc)
+    t, constraint = state.tables, state.problem.constraint
+    n, n_bc = len(t.x), len(constraint.points)
+    by_row = np.zeros(n + n_bc)
     with np.errstate(invalid="ignore", over="ignore"):
         for ws, bg, dbg in zip(workspaces, *cache):
             u, du = eval_batch(state.params[ws.index - 1], ws.inputs)
             res = _residual(ws, u, du, bg, dbg)
             by_row[ws.row_ids[ws.owned]] = res[ws.owned]
         r, err = by_row[:n], by_row[n:]
-        boundary = float(t.bc_weight * (err @ err) / t.n_bc) if t.n_bc else 0.0
+        boundary = float(constraint.weight * (err @ err) / n_bc) if n_bc else 0.0
         squared = r * r
         return LossBreakdown(float(np.sum(squared) / n) + boundary,
                              float(np.sum(squared[t.interior_mask]) / n),

@@ -3,6 +3,7 @@
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,19 +179,76 @@ def test_coarse_phase_failure_names_the_coarse_network(tmp_path, capsys):
     assert (out / "summary.json").exists()
 
 
-def test_local_phase_failure_step_counts_the_coarse_epochs(tmp_path, capsys):
-    # one coarse epoch blows the coarse network up; the local phase fails at
-    # its first step, which loss_history.csv would number 2
+def test_coarse_phase_final_check_names_the_coarse_network(tmp_path, capsys):
+    # one coarse epoch blows the coarse network up in its last step: the
+    # coarse phase's final check fails, as any run's does, and the partial
+    # artifacts are those of any failed run
     cfg = write_config(tmp_path, **{
         **COARSE_BLOWUP,
         "coarse": {**COARSE_BLOWUP["coarse"], "epochs": 1},
         "training": {**COARSE_BLOWUP["training"], "learning_rate": 1e200}})
     out = tmp_path / "blowup"
     assert main(["coarse", str(cfg), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == ("error: numerical failure (step 2, "
-                                       "subdomain 1): non-finite loss value inf\n")
+    assert capsys.readouterr().err == ("error: numerical failure (step 1, coarse network): "
+                                       "non-finite final loss inf or relative L2 error inf\n")
     _, rows = read_csv(out / "loss_history.csv")
     assert [(r[0], r[-1]) for r in rows] == [("1", "coarse")]
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["results"]["final_loss"] is None
+    assert summary["results"]["final_l2_error"] is None
+    assert not (out / "solution.csv").exists()
+
+
+def test_initial_loss_overflow_exits_3_at_step_0_with_strict_json(tmp_path, capsys):
+    # the residuals stay finite (about 1e300) but their mean square overflows
+    # before the first step
+    cfg = write_config(tmp_path, problem={"kind": "two_frequency", "omega1": 1e300,
+                                          "omega2": 3.0},
+                       decomposition={"subdomains": 2},
+                       training={"steps": 2, "collocation_points": 50})
+    out = tmp_path / "blowup"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: numerical failure (step 0): "
+                                       "non-finite initial loss inf\n")
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["results"]["initial_loss"] is None
+    assert not (out / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("command, seed", [("run", -1), ("run", -5), ("coarse", -1)])
+def test_a_negative_seed_exits_2_before_writing(tmp_path, capsys, command, seed):
+    cfg = write_config(tmp_path, training={"seed": seed},
+                       coarse={"enabled": True, "points": 20, "epochs": 2})
+    out = tmp_path / "never"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: training.seed must be an integer >= 0\n"
+    assert not out.exists()
+
+
+STEEP = {"kind": "two_frequency", "omega1": 1e30, "omega2": 3.0}
+
+
+@pytest.mark.parametrize("command, overrides", [
+    # gradients of about 1e30 times a learning rate of 1e300 overflow in
+    # the optimizer step
+    ("run", {"problem": STEEP, "training": {"optimizer": "sgd", "learning_rate": 1e300}}),
+    ("run", {"problem": STEEP, "training": {"learning_rate": 1e300}}),
+    ("coarse", {**COARSE_BLOWUP, "problem": STEEP}),
+    # omega x overflows in the right-hand side and the exact solution
+    ("run", {"problem": {"omega": 1e300, "domain": [-1e9, 1e9]}}),
+    ("run", {"problem": {"kind": "two_frequency", "omega1": 1e300, "omega2": 3.0,
+                         "domain": [-1e9, 1e9]}}),
+])
+def test_overflow_prints_one_error_line_and_no_warning(tmp_path, capsys, command, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) in (2, 3)
+    assert [w.message for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 WRITE_ERROR_CASES = [
@@ -423,7 +481,8 @@ def test_out_at_or_under_an_existing_file_exits_2(tmp_path, capsys, command, bel
 
 @st.composite
 def tiny_configs(draw):
-    """A subcommand and a tiny config that parse_config accepts."""
+    """A subcommand and a tiny config that parse_config accepts but for a
+    negative seed."""
     command = draw(st.sampled_from(["run", "coarse", "sweep"]))
     kind = draw(st.sampled_from(["parallel", "alternating", "colored", "explicit"]))
     interval = draw(st.integers(1, 3))
@@ -441,7 +500,7 @@ def tiny_configs(draw):
                      "communication_interval": interval,
                      "record_interval": draw(st.integers(1, 4)),
                      "collocation_points": draw(st.integers(2, 40)),
-                     "seed": draw(st.integers(0, 3))},
+                     "seed": draw(st.integers(-3, 3))},
         "schedule": {"kind": kind},
         "coarse": {"enabled": draw(st.booleans()), "points": draw(st.integers(2, 20)),
                    "epochs": draw(st.integers(0, 3)),
@@ -455,23 +514,29 @@ def tiny_configs(draw):
         data["schedule"]["colors"] = draw(groups)
     if kind == "explicit":
         data["schedule"]["sets"] = draw(groups)
-    parse_config(data)
+    parse_config({**data, "training": {**data["training"], "seed": 0}})
     return command, data
 
 
 @given(case=tiny_configs())
 @settings(max_examples=60, deadline=None)
 def test_cli_contract_holds_for_tiny_configs(case):
-    # exit 0, 2 (nothing written) or 3, and never an exception
+    # exit 0, 2 (nothing written) or 3, never an exception or a
+    # RuntimeWarning, and every summary.json is strict JSON
     command, data = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(data))
         out = Path(tmp) / "out"
-        code = main([command, str(cfg), "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, str(cfg), "--out", str(out)])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code in (0, 2, 3)
-        if code == 2:
-            assert not out.exists()
+        if code == 2 or data["training"]["seed"] < 0:
+            assert code == 2 and not out.exists()
+        for summary in out.rglob("summary.json"):
+            json.loads(summary.read_text(), parse_constant=_reject_constant)
 
 
 def test_coarse_subcommand_requires_enabled(tmp_path, capsys):

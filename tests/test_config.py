@@ -76,6 +76,7 @@ def test_non_object_blocks_rejected():
     ({"training": {"collocation_points": 1}},
      "training.collocation_points must be an integer >= 2"),
     ({"training": {"seed": 1.5}}, "training.seed must be an integer"),
+    ({"training": {"seed": -1}}, "training.seed must be an integer >= 0"),
     ({"schedule": {"kind": "roundrobin"}}, "schedule.kind must be one of"),
     ({"schedule": {"kind": "colored"}}, "schedule.colors must be a non-empty list"),
     ({"schedule": {"kind": "explicit"}}, "schedule.sets must be a non-empty list"),

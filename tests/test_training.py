@@ -12,7 +12,8 @@ from fbpinn.decomposition import (Interval, build_decomposition,
                                   empty_subdomains,
                                   sample_collocation, window)
 from fbpinn.networks import NumericalFailureError, eval_batch, loss_gradient
-from fbpinn.problems import SoftConstraint, make_single_frequency, tanh_constraint
+from fbpinn.problems import (SoftConstraint, make_single_frequency, make_two_frequency,
+                             tanh_constraint)
 from fbpinn.scheduling import (ActiveSet, active_set, alternating_schedule,
                                colored_schedule, parallel_schedule)
 from fbpinn.optimizers import make_optimizer
@@ -554,6 +555,46 @@ def test_undefined_relative_l2_error_raises_before_training(problem, path):
     assert state.step == 0
 
 
+def test_local_phase_failure_step_counts_the_coarse_epochs():
+    # the coarse phase stays finite; local network 1, set to 1e300, fails at
+    # the local phase's first step, numbered after the coarse epochs
+    state = coarse_state(seed=3, n_sub=3)
+    state.params[0].flat[:] = 1e300
+    with pytest.raises(NumericalFailureError) as exc:
+        train_coarse_then_local(state, coarse_epochs=3, coarse_points=20, local_rounds=2,
+                                record_interval=1)
+    assert exc.value.step == 3 + 1 and exc.value.subdomain == 1
+    assert [(r.step, r.phase) for r in exc.value.report.records] == [
+        (1, "coarse"), (2, "coarse"), (3, "coarse")]
+
+
+def test_a_coarse_phase_that_blows_up_fails_its_final_check():
+    # one coarse step at learning rate 1e200 leaves finite residuals whose
+    # mean square overflows: the coarse phase fails at its last step, as a
+    # plain run does, and the local phase never starts
+    state = coarse_state(seed=1, n_sub=3, optimizer="sgd", learning_rate=1e200)
+    before = snapshot(state.params)
+    with pytest.raises(NumericalFailureError,
+                       match=r"^non-finite final loss inf or relative L2 error inf$") as exc:
+        train_coarse_then_local(state, coarse_epochs=1, coarse_points=30, local_rounds=2)
+    assert exc.value.step == 1 and exc.value.subdomain == "coarse"
+    assert exc.value.report.final_loss is None and exc.value.report.phases == {}
+    assert same_params(before, state.params)
+
+
+def test_an_initial_loss_that_overflows_fails_before_the_first_step():
+    # residuals of about 1e300 are finite, their mean square is not
+    prob = make_two_frequency(1e300, 3.0, DOM)
+    state = create_state(prob, build_decomposition(DOM, 2, 0.7), sample_collocation(DOM, 50),
+                         layer_sizes=[1, 6, 1])
+    before = snapshot(state.params)
+    with pytest.raises(NumericalFailureError, match=r"^non-finite initial loss inf$") as exc:
+        train(state, parallel_schedule(2), 2)
+    assert exc.value.step == 0 and exc.value.subdomain is None
+    assert exc.value.report.initial_loss is None
+    assert same_params(before, state.params) and state.step == 0
+
+
 @pytest.mark.parametrize("local_rounds, n_schedule", [(0, 3), (2, 4)])
 def test_coarse_then_local_rejects_its_local_phase_before_the_coarse_phase(local_rounds,
                                                                           n_schedule):
@@ -1017,7 +1058,7 @@ def test_the_coarse_network_is_network_0_of_the_row_table(constraint):
     make = small_state if constraint == "hard" else soft_multi_state
     state = make(n_sub=4, n_pts=60, seed=6, coarse_layer_sizes=[1, 6, 1])
     t = state.rows
-    n = len(state.tables.x) + state.tables.n_bc
+    n = len(state.tables.x) + len(state.problem.constraint.points)
     assert t.bounds[0] == 0 and t.bounds[1] == n
     block = slice(0, n)
     assert np.array_equal(t.row_ids[block], np.arange(n))
