@@ -28,11 +28,11 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 
-def _config(subdomains, steps, *, problem=None, schedule=None, coarse=None,
-            sweep=None, **training):
+def _config(subdomains, steps, *, problem=None, network=None, schedule=None,
+            coarse=None, sweep=None, **training):
     cfg = {"problem": problem or {"kind": "single_frequency", "omega": 15.0},
            "decomposition": {"subdomains": subdomains, "overlap_fraction": 0.7},
-           "network": {"hidden_layers": 2, "hidden_width": 16},
+           "network": network or {"hidden_layers": 2, "hidden_width": 16},
            "training": {"steps": steps, "record_interval": 10, "seed": 3, **training},
            "schedule": schedule or {"kind": "parallel"}}
     for key, value in (("coarse", coarse), ("sweep", sweep)):
@@ -44,6 +44,7 @@ def _config(subdomains, steps, *, problem=None, schedule=None, coarse=None,
 TWO_FREQUENCY = {"kind": "two_frequency", "omega1": 1.0, "omega2": 15.0}
 SOFT = {"kind": "single_frequency", "omega": 15.0, "constraint": "soft",
         "soft_weight": 2.0}
+SMALL_NETWORK = {"hidden_layers": 1, "hidden_width": 8}
 
 # (name, fbpinn subcommand, config)
 MATRIX = [
@@ -72,6 +73,15 @@ MATRIX = [
         4, 20, collocation_points=400,
         sweep={"subdomains": [4, 8], "communication_intervals": [1, 5]})),
     ("points-3001", "run", _config(16, 20, collocation_points=3001)),
+    # solution CSV values far from 1: small-domain's run from 1e-9 to 1e-4
+    # (exponent notation, and below 1e-6 the per-value path of
+    # reporting._text); two thirds of wide-domain's lie at or above 1e17
+    ("small-domain", "run", _config(
+        4, 10, problem={"kind": "single_frequency", "omega": 1e5, "domain": [-1e-4, 1e-4]},
+        network=SMALL_NETWORK, collocation_points=200)),
+    ("wide-domain", "run", _config(
+        4, 10, problem={"kind": "single_frequency", "omega": 1e-18, "domain": [-3e18, 3e18]},
+        network=SMALL_NETWORK, collocation_points=200)),
     # exits 3 at step 2 and leaves partial artifacts
     ("blowup-sgd-j4", "run", _config(4, 10, optimizer="sgd", learning_rate=1e300,
                                      collocation_points=200, record_interval=1)),

@@ -53,15 +53,26 @@ def _layout(cfg, n_subdomains):
     return problem, decomposition, points
 
 
-def _check_subdomain_count(cfg, n_subdomains):
-    """ConfigError unless cfg can be built with n_subdomains subdomains: the
-    schedule must cover them and each must hold a collocation point."""
+def _check_subdomain_count(cfg, n_subdomains, key):
+    """ConfigError unless cfg can be built with n_subdomains subdomains, the
+    value of the config key `key`: the schedule must cover them and each
+    must hold a collocation point."""
+    n_points = cfg.training.collocation_points
+    # A subdomain is narrower than twice the spacing of the centres, so a
+    # point lies in at most two subdomains: with more than twice as many
+    # subdomains as points, some hold none. Checked before a schedule or a
+    # layout of that many subdomains is built.
+    if n_subdomains > 2 * n_points:
+        raise ConfigError(
+            f"{key} = {n_subdomains} exceeds twice training.collocation_points = "
+            f"{n_points}: a collocation point lies in at most two subdomains, so some "
+            "would hold none")
     build_schedule(cfg, n_subdomains)
     _, decomposition, points = _layout(cfg, n_subdomains)
     empty = empty_subdomains(decomposition, points)
     if empty:
         raise ConfigError(
-            f"training.collocation_points = {cfg.training.collocation_points} "
+            f"training.collocation_points = {n_points} "
             f"leaves subdomains {index_list(empty)} of {n_subdomains} without a "
             "collocation point")
 
@@ -160,10 +171,10 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.command == "coarse" and not cfg.coarse.enabled:
             raise ConfigError("coarse.enabled must be true for the coarse subcommand")
-        counts = cfg.sweep.subdomains if args.command == "sweep" \
-            else (cfg.decomposition.subdomains,)
+        key, counts = ("sweep.subdomains", cfg.sweep.subdomains) if args.command == "sweep" \
+            else ("decomposition.subdomains", (cfg.decomposition.subdomains,))
         for n_subdomains in counts:
-            _check_subdomain_count(cfg, n_subdomains)
+            _check_subdomain_count(cfg, n_subdomains, key)
         if args.command == "sweep":
             for p in cfg.sweep.communication_intervals:
                 check_whole_rounds(cfg, p, "sweep.communication_intervals")

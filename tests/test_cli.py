@@ -360,10 +360,10 @@ def test_sweep_schedule_checked_against_every_subdomain_count(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, patch", [
-    ("run", {"decomposition": {"subdomains": 8}}),
-    # J=2 is covered by the 3 points, J=8 is not
+    ("run", {"decomposition": {"subdomains": 6}}),
+    # J=2 is covered by the 3 points, J=6 is not
     ("sweep", {"decomposition": {"subdomains": 2},
-               "sweep": {"subdomains": [2, 8], "communication_intervals": [1]}}),
+               "sweep": {"subdomains": [2, 6], "communication_intervals": [1]}}),
 ])
 def test_subdomains_without_points_exit_2(tmp_path, capsys, command, patch):
     cfg = write_config(tmp_path, training={"steps": 3, "collocation_points": 3},
@@ -372,7 +372,7 @@ def test_subdomains_without_points_exit_2(tmp_path, capsys, command, patch):
     assert main([command, str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error: training.collocation_points = 3 leaves subdomains [" in err
-    assert "of 8 without a collocation point" in err
+    assert "of 6 without a collocation point" in err
     assert not out.exists()
 
 
@@ -386,18 +386,41 @@ def test_repeated_sweep_values_exit_2(tmp_path, capsys):
 
 
 def test_subdomains_far_above_the_points_exit_2_without_a_pairwise_table(tmp_path, capsys):
-    # 100,000 subdomains: neighbour sets compare each subdomain with the
-    # next two only, so the check for empty subdomains is reached in
-    # linear memory instead of a J x J table
-    cfg = write_config(tmp_path, decomposition={"subdomains": 100_000})
+    # 100,000 subdomains, the most that 50,000 points may have: neighbour
+    # sets compare each subdomain with the next two only, so the check for
+    # empty subdomains is reached in linear memory instead of a J x J table
+    cfg = write_config(tmp_path, decomposition={"subdomains": 100_000},
+                       training={"collocation_points": 50_000})
     out = tmp_path / "never"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: training.collocation_points = 60 leaves subdomains [")
+    assert err.startswith("error: training.collocation_points = 50000 leaves subdomains [")
     assert "of 100000 without a collocation point" in err
     # the first ten empty subdomains and their count, not all of them
     assert len(err.encode()) < 1024
     assert re.search(r"subdomains \[(\d+, ){10}…; \d+ in all\] of 100000", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, patch, message", [
+    # ints beyond the float range are not numbers
+    ("run", {"problem": {"omega": 10**400}}, "problem.omega must be a nonzero number"),
+    ("run", {"training": {"learning_rate": 10**400}}, "training.learning_rate must be > 0"),
+    # a point lies in at most two subdomains, so 60 points allow 120; the
+    # count is checked before a schedule of that many subdomains is built
+    ("run", {"decomposition": {"subdomains": 121}},
+     "decomposition.subdomains = 121 exceeds twice training.collocation_points = 60"),
+    ("run", {"decomposition": {"subdomains": 10**30}},
+     f"decomposition.subdomains = {10**30} exceeds twice training.collocation_points = 60"),
+    ("sweep", {"sweep": {"subdomains": [2, 10**30], "communication_intervals": [1]}},
+     f"sweep.subdomains = {10**30} exceeds twice training.collocation_points = 60"),
+])
+def test_oversized_integers_exit_2(tmp_path, capsys, command, patch, message):
+    cfg = write_config(tmp_path, **patch)
+    out = tmp_path / "never"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 
