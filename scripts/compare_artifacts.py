@@ -16,6 +16,7 @@ runs have one boundary point.
 """
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -26,6 +27,21 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def _workloads():
+    """perfbench's workloads, loaded from their file without importing
+    perfbench or adding it to sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclass looks its module up in sys.modules while the class is made
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
 
 
 def _config(subdomains, steps, *, problem=None, network=None, schedule=None,
@@ -46,12 +62,13 @@ SOFT = {"kind": "single_frequency", "omega": 15.0, "constraint": "soft",
         "soft_weight": 2.0}
 SMALL_NETWORK = {"hidden_layers": 1, "hidden_width": 8}
 
-# (name, fbpinn subcommand, config)
+WORKLOADS = _workloads()
+
+# (name, fbpinn subcommand, config): the benchmark's two gated workloads
+# at seed 3, then runs that cover what they do not
 MATRIX = [
-    ("converge-j16-p1", "run", _config(16, 100, collocation_points=3000)),
-    ("coarse-two-phase", "coarse", _config(
-        30, 50, problem=TWO_FREQUENCY, learning_rate=3e-4, collocation_points=3000,
-        coarse={"enabled": True, "points": 500, "epochs": 150})),
+    *((name, WORKLOADS[name].command, WORKLOADS[name].config(3))
+      for name in ("converge-j16-p1", "coarse-two-phase")),
     ("alternating-j16-p3", "run", _config(
         16, 48, schedule={"kind": "alternating"}, communication_interval=3,
         collocation_points=1500)),

@@ -22,7 +22,7 @@ from .config import (ConfigError, build_problem, build_schedule,
                      check_whole_rounds, load_config)
 from .decomposition import (build_decomposition, empty_subdomains,
                             index_list, sample_collocation)
-from .networks import NumericalFailureError
+from .networks import NumericalFailureError, init_params
 from .problems import UndefinedL2Error
 from .reporting import (scalability_trends, write_run_artifacts,
                         write_sweep_summary, write_trends)
@@ -49,8 +49,18 @@ def _layout(cfg, n_subdomains):
     except ValueError as exc:
         raise ConfigError(f"decomposition.overlap_fraction = {fraction!r} with "
                           f"{n_subdomains} subdomains: {exc}") from exc
-    points = sample_collocation(problem.domain, cfg.training.collocation_points)
+    points = _sized("training.collocation_points", sample_collocation, problem.domain,
+                    cfg.training.collocation_points)
     return problem, decomposition, points
+
+
+def _sized(key, build, *args):
+    """build(*args); a ConfigError naming the config key `key` when NumPy or
+    Python refuse the size it sets."""
+    try:
+        return build(*args)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _check_subdomain_count(cfg, n_subdomains, key):
@@ -78,7 +88,9 @@ def _check_subdomain_count(cfg, n_subdomains, key):
 
 
 def _check_outdir(outdir):
-    """ConfigError if outdir, or a directory above it, is an existing file."""
+    """ConfigError if outdir holds a NUL, or if it or a directory above it is a file."""
+    if "\0" in str(outdir):
+        raise ConfigError(f"output directory {str(outdir)!r} holds a NUL character")
     path = os.path.abspath(outdir)
     while not os.path.exists(path):
         path = os.path.dirname(path)
@@ -175,6 +187,14 @@ def main(argv=None):
             else ("decomposition.subdomains", (cfg.decomposition.subdomains,))
         for n_subdomains in counts:
             _check_subdomain_count(cfg, n_subdomains, key)
+        for block in ("network", "coarse") if args.command == "coarse" else ("network",):
+            net = getattr(cfg, block)
+            sizes = _sized(f"{block}.hidden_layers", net.layer_sizes)
+            _sized(f"{block}.hidden_width", init_params, sizes, cfg.training.seed)
+        # as train_coarse_then_local, which builds no grid for 0 epochs
+        if args.command == "coarse" and cfg.coarse.epochs > 0:
+            _sized("coarse.points", sample_collocation, build_problem(cfg).domain,
+                   cfg.coarse.points)
         if args.command == "sweep":
             for p in cfg.sweep.communication_intervals:
                 check_whole_rounds(cfg, p, "sweep.communication_intervals")

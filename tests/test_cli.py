@@ -414,6 +414,15 @@ def test_subdomains_far_above_the_points_exit_2_without_a_pairwise_table(tmp_pat
      f"decomposition.subdomains = {10**30} exceeds twice training.collocation_points = 60"),
     ("sweep", {"sweep": {"subdomains": [2, 10**30], "communication_intervals": [1]}},
      f"sweep.subdomains = {10**30} exceeds twice training.collocation_points = 60"),
+    # sizes that NumPy or Python refuse to build, named before anything is
+    # trained or written
+    ("run", {"training": {"collocation_points": 10**30}}, "training.collocation_points: "),
+    ("run", {"network": {"hidden_width": 10**30}}, "network.hidden_width: "),
+    ("run", {"network": {"hidden_layers": 10**30}}, "network.hidden_layers: "),
+    ("coarse", {"coarse": {"enabled": True, "points": 10**30}}, "coarse.points: "),
+    ("coarse", {"coarse": {"enabled": True, "hidden_width": 10**30}}, "coarse.hidden_width: "),
+    ("coarse", {"coarse": {"enabled": True, "hidden_layers": 10**30}},
+     "coarse.hidden_layers: "),
 ])
 def test_oversized_integers_exit_2(tmp_path, capsys, command, patch, message):
     cfg = write_config(tmp_path, **patch)
@@ -500,6 +509,22 @@ def test_out_at_or_under_an_existing_file_exits_2(tmp_path, capsys, command, bel
            f"is not a directory" in err
     assert blocker.read_text() == "keep"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "coarse"])
+@pytest.mark.parametrize("flag", [False, True], ids=["output_dir", "--out"])
+def test_out_holding_a_nul_character_exits_2(tmp_path, capsys, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FBPINN_OUTPUT_ROOT", raising=False)
+    cfg = write_config(tmp_path, training={"steps": 5, "record_interval": 5},
+                       coarse={"enabled": True, "points": 20, "epochs": 2},
+                       sweep={"subdomains": [2], "communication_intervals": [1]},
+                       output_dir="runs" if flag else "a\x00b")
+    argv = [command, str(cfg)] + (["--out", "a\x00b"] if flag else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: output directory 'a\\x00b' holds a NUL character\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @st.composite

@@ -1,56 +1,99 @@
-"""The scripts under scripts/, run at tiny sizes."""
+"""The paper's runs under configs/, shrunk to tiny sizes, and the scripts
+under scripts/."""
 
 import importlib.util
 import json
-import os
 import re
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from fbpinn import cli
+from fbpinn.config import load_config
+
 REPO = Path(__file__).resolve().parents[1]
 
-RUN_FILES = ["config.json", "decomposition.json", "loss_history.csv",
-             "solution.csv", "summary.json"]
+CONFIG_FILES = sorted((REPO / "configs").glob("*.json"))
 
-DRIVERS = [
-    ("run_convergence.py",
-     ["--subdomains", "4", "--steps", "4", "--points", "64", "--record-interval", "2"],
-     RUN_FILES + [f"checkpoints/subdomain_0{j}.json" for j in range(1, 5)]),
-    ("run_p_sweep.py",
-     ["--subdomains", "2", "4", "--intervals", "1", "2", "--steps", "4",
-      "--points", "64"],
-     ["config.json", "sweep_summary.csv", "trends.json"]
-     + [f"cells/J0{J}_p000{p}/{name}" for J in (2, 4) for p in (1, 2)
-        for name in RUN_FILES[1:]]),
-    ("run_coarse_correction.py",
-     ["--subdomains", "4", "--coarse-epochs", "2", "--coarse-points", "20",
-      "--steps", "4", "--points", "64"],
-     RUN_FILES + ["coarse_solution.csv", "checkpoints/coarse.json"]),
-]
+RUN_FILES = ["decomposition.json", "loss_history.csv", "solution.csv", "summary.json"]
+
+# each shipped config's subcommand, the sizes the test shrinks and the
+# files the shrunk run writes
+SHIPPED = {
+    "convergence.json": (
+        "run",
+        {"decomposition": {"subdomains": 4},
+         "training": {"steps": 4, "collocation_points": 64}},
+        RUN_FILES + [f"checkpoints/subdomain_0{j}.json" for j in range(1, 5)]),
+    "p_sweep.json": (
+        "sweep",
+        {"training": {"steps": 4, "collocation_points": 64},
+         "sweep": {"subdomains": [2, 4], "communication_intervals": [1, 2]}},
+        ["sweep_summary.csv", "trends.json"]
+        + [f"cells/J0{J}_p000{p}/{name}" for J in (2, 4) for p in (1, 2)
+           for name in RUN_FILES]),
+    "coarse_correction.json": (
+        "coarse",
+        {"decomposition": {"subdomains": 4},
+         "training": {"steps": 4, "collocation_points": 64},
+         "coarse": {"epochs": 2, "points": 20}},
+        RUN_FILES + ["coarse_solution.csv", "checkpoints/coarse.json"]),
+}
 
 
-def _env():
-    src = str(REPO / "src")
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
-
-
-@pytest.mark.parametrize("script, args, files", DRIVERS, ids=[d[0] for d in DRIVERS])
-def test_driver_script_runs(tmp_path, script, args, files):
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda path: path.name)
+def test_shipped_config_runs_at_tiny_sizes(tmp_path, capsys, recwarn, path):
+    command, sizes, files = SHIPPED[path.name]
+    data = json.loads(path.read_text())
+    for block, values in sizes.items():
+        # sizes only: every shrunk key is one the file sets
+        assert values.keys() <= data[block].keys()
+        data[block].update(values)
+    cfg = tmp_path / path.name
+    cfg.write_text(json.dumps(data))
     out = tmp_path / "out"
-    done = subprocess.run([sys.executable, str(REPO / "scripts" / script), *args,
-                           "--out", str(out)],
-                          env=_env(), capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
+    assert cli.main([command, str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert not recwarn.list
     for name in files:
         assert (out / name).is_file(), name
     summaries = [json.loads(p.read_text()) for p in out.rglob("summary.json")]
     assert summaries and all(s["results"]["final_loss"] is not None for s in summaries)
+
+
+class _Trained(Exception):
+    """Raised in place of training, once the pre-flight checks have passed."""
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda path: path.name)
+def test_shipped_config_passes_the_checks_at_full_size(tmp_path, monkeypatch, path):
+    command = SHIPPED[path.name][0]
+    cfg = load_config(path)
+    assert cfg.output_dir == f"runs/{path.stem}"
+
+    def trained(_, outdir, **kwargs):
+        raise _Trained(outdir)
+
+    # every check of main, such as p_sweep's 20,000 steps being a multiple
+    # of each of its intervals, at the sizes the file states; no run trains
+    monkeypatch.setattr(cli, "run_single", trained)
+    monkeypatch.setattr(cli, "run_sweep", trained)
+    monkeypatch.setenv("FBPINN_OUTPUT_ROOT", str(tmp_path))
+    with pytest.raises(_Trained) as caught:
+        cli.main([command, str(path)])
+    assert caught.value.args == (tmp_path / "runs" / path.stem,)
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_names_each_shipped_config_with_its_subcommand():
+    readme = (REPO / "README.md").read_text()
+    named = set(re.findall(r"\bconfigs/([\w.-]+)", readme))
+    assert named == {path.name for path in CONFIG_FILES} == set(SHIPPED)
+    commands = {name: command
+                for command, name in re.findall(r"fbpinn (\w+) +configs/([\w.-]+)", readme)}
+    assert commands == {name: spec[0] for name, spec in SHIPPED.items()}
 
 
 def _load_compare_artifacts():
