@@ -16,8 +16,14 @@ it prints each side's median and quartiles (the quartiles perfbench
 itself reports), the change of the medians and the pairs the working
 tree won, ties counting for neither side. A gain holds when at least 10
 pairs ran, the working tree won at least 9 in 10 of them, and its median
-is better than REV's by more than REV's interquartile range. Exits 1
-when any run failed or was not correct, else 0.
+is better than REV's by more than REV's interquartile range.
+
+It also prints whether the metric regressed, by the metric's `bound` in
+BENCHMARK.json, a fraction of REV's median: "regression" when the
+working tree's median is worse than REV's by more than the bound,
+"unresolved" when REV's interquartile range is wider than the bound
+(unless every working-tree run beats every REV run), else "no
+regression". Exits 1 when any run failed or was not correct, else 0.
 """
 
 import argparse
@@ -62,6 +68,21 @@ def summarize(rev_values, work_values, better):
     return {"rev": rev, "work": work, "won": won, "pairs": pairs, "gain": gain}
 
 
+def regression(rev_values, work_values, better, bound):
+    """"regression", "unresolved" or "no regression" for one metric, as
+    the module docstring defines them; bound is a fraction of REV's
+    median."""
+    sign = 1.0 if better == "higher" else -1.0
+    q1, median, q3 = quartiles(rev_values)
+    if min(sign * w for w in work_values) > max(sign * r for r in rev_values):
+        return "no regression"
+    if q3 - q1 > bound * abs(median):
+        return "unresolved"
+    if sign * (median - quartiles(work_values)[1]) > bound * abs(median):
+        return "regression"
+    return "no regression"
+
+
 def run_perfbench(tree, workload, seed, seconds):
     """One `perfbench/run.py --trace 0` run in tree: (metric values by
     name, correct). A run that crashed or printed no result reads as not
@@ -84,7 +105,7 @@ def bench_pairs(rev, workload, pairs, seconds, seed, repo=REPO):
     """Run the pairs and print every run and the summary; returns the
     number of runs that failed or were not correct."""
     spec = json.loads((Path(repo) / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     runs = {"rev": [], "work": []}
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -97,22 +118,25 @@ def bench_pairs(rev, workload, pairs, seconds, seed, repo=REPO):
                 failed += not correct
                 runs[side].append(values)
                 shown = "  ".join(f"{name} {values[name]:.6g}"
-                                  for name, _, _ in metrics if name in values)
+                                  for name, *_ in metrics if name in values)
                 label = rev if side == "rev" else "work"
                 print(f"pair {k} seed {seed + k} {label}: {shown}"
                       + ("" if correct else "  NOT CORRECT"), flush=True)
     print(f"{workload}: {pairs} pairs, --seconds {seconds:g}, {rev} against the working tree")
-    for name, unit, better in metrics:
+    for name, unit, better, bound in metrics:
         kept = [(r[name], w[name]) for r, w in zip(runs["rev"], runs["work"])
                 if name in r and name in w]
         if not kept:
             continue
-        s = summarize([r for r, _ in kept], [w for _, w in kept], better)
+        rev_values, work_values = [r for r, _ in kept], [w for _, w in kept]
+        s = summarize(rev_values, work_values, better)
         (rq1, rmed, rq3), (wq1, wmed, wq3) = s["rev"], s["work"]
         change = f"{(wmed - rmed) / rmed:+.1%}" if rmed else "n/a"
         print(f"{name} ({unit}, {better} is better): "
               f"{rev} {rmed:.6g} [{rq1:.6g}, {rq3:.6g}] -> {wmed:.6g} [{wq1:.6g}, {wq3:.6g}], "
-              f"{change}, won {s['won']}/{s['pairs']}, "
+              f"{change}, bound {bound:.0%}: "
+              f"{regression(rev_values, work_values, better, bound)}, "
+              f"won {s['won']}/{s['pairs']}, "
               f"gain {'holds' if s['gain'] else 'does not hold'}")
     return failed
 

@@ -88,15 +88,29 @@ def _check_subdomain_count(cfg, n_subdomains, key):
 
 
 def _check_outdir(outdir):
-    """ConfigError if outdir holds a NUL, or if it or a directory above it is a file."""
+    """ConfigError if outdir holds a NUL, if it or a directory above it is a
+    file, or if the file system of its nearest existing directory would
+    refuse it: a name still to be made longer than PC_NAME_MAX bytes, or a
+    path of PC_PATH_MAX bytes or more. Makes no directory."""
     if "\0" in str(outdir):
         raise ConfigError(f"output directory {str(outdir)!r} holds a NUL character")
-    path = os.path.abspath(outdir)
+    full = os.path.abspath(outdir)
+    path = full
     while not os.path.exists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ConfigError(f"output directory {str(outdir)!r}: "
                           f"{path!r} exists and is not a directory")
+    longest = max(len(os.fsencode(name)) for name in os.path.relpath(full, path).split(os.sep))
+    limit = os.pathconf(path, "PC_NAME_MAX")
+    if longest > limit:
+        raise ConfigError(f"output directory {str(outdir)!r}: a name of {longest} bytes "
+                          f"exceeds the file system's limit of {limit}")
+    size = len(os.fsencode(str(outdir)))
+    limit = os.pathconf(path, "PC_PATH_MAX") - 1    # it counts the terminating NUL
+    if size > limit:
+        raise ConfigError(f"output directory {str(outdir)!r}: a path of {size} bytes "
+                          f"exceeds the file system's limit of {limit}")
 
 
 def _rounds(cfg):

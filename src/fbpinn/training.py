@@ -131,25 +131,35 @@ class _ForwardMemo:
     """What one _train() call, or one public call that trains or evaluates,
     computes once and shares. u and du hold each row's network value and
     input derivative, those of network j's rows being its current ones
-    while tapes holds j: the tape of that forward (None for network 0,
-    which never steps), dropped when network j's optimizer steps. A memo of
-    a state without a coarse network starts with tapes[0]: its block is
-    empty. active[order] holds _active_rows for the networks in order.
-    grads[j - 1] receives network j's gradient at each of its steps: rows
-    of one (J, parameters) matrix."""
+    while tapes holds j. grads, in a memo whose caller steps networks,
+    holds rows of one (J, parameters) matrix, grads[j - 1] receiving
+    network j's gradient at each of its steps; such a memo keeps the tape
+    of network j's forward in tapes[j] until that network steps. Any other
+    memo, and network 0, which never steps, keep None there: nothing
+    would read the tape, and J tapes held at once would grow the heap. A
+    memo of a state without a coarse network starts with tapes[0]: its
+    block is empty. active[order] holds _active_rows for the networks in
+    order."""
 
     u: np.ndarray
     du: np.ndarray
-    grads: list
+    grads: list | None = None
     tapes: dict = field(default_factory=dict)
     active: dict = field(default_factory=dict)
 
 
 def _memo(state):
+    """A memo that only evaluates: no gradient rows, so no tapes."""
     n_rows = len(state.rows.x)
     return _ForwardMemo(np.empty(n_rows), np.empty(n_rows),
-                        ParamGradient.rows_like(state.params[0], state.n_subdomains),
                         tapes={} if state.coarse_params is not None else {0: None})
+
+
+def _stepping_memo(state):
+    """A memo for a caller that steps networks: gradient rows, and tapes."""
+    memo = _memo(state)
+    memo.grads = ParamGradient.rows_like(state.params[0], state.n_subdomains)
+    return memo
 
 
 @dataclass
@@ -308,10 +318,10 @@ def _forwards(state, order, memo):
     for j in order:
         if j not in memo.tapes:
             rows = slice(*state.rows.bounds[j:j + 2])
-            u, du, tape = _forward(state.params[j - 1] if j else state.coarse_params,
-                                   state.rows.inputs[rows])
-            memo.u[rows], memo.du[rows] = u, du
-            memo.tapes[j] = tape if j else None
+            memo.u[rows], memo.du[rows], tape = _forward(
+                state.params[j - 1] if j else state.coarse_params, state.rows.inputs[rows])
+            memo.tapes[j] = tape if j and memo.grads is not None else None
+            del tape        # a tape nothing keeps is freed before the next forward
 
 
 def _dvalue(t, rows, u, du):
@@ -506,7 +516,7 @@ def _train_round(state, active, on_step, memo):
 def train_round(state, active):
     """One round: p optimizer steps for each active subdomain against the
     frozen cache, then a single cache refresh."""
-    return _train_round(state, active, lambda: None, _memo(state))
+    return _train_round(state, active, lambda: None, _stepping_memo(state))
 
 
 @dataclass
@@ -624,7 +634,7 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
     # version and shared by the loss splits, the cache refresh and the next
     # step's gradient. Network 0's comes first: in the first refresh, it
     # would sit on top of the level-1 tapes.
-    memo = _memo(state)
+    memo = _stepping_memo(state)
     with np.errstate(invalid="ignore", over="ignore"):
         _forwards(state, range(state.n_subdomains + 1), memo)
     final_step = state.step + steps

@@ -527,6 +527,30 @@ def test_out_holding_a_nul_character_exits_2(tmp_path, capsys, monkeypatch, comm
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "coarse"])
+@pytest.mark.parametrize("flag", [False, True], ids=["output_dir", "--out"])
+@pytest.mark.parametrize("out, what", [
+    ("x" * 300, "a name of 300 bytes"),
+    ("/".join(["y" * 200] * 25), "a path of 5024 bytes"),
+], ids=["long-name", "long-path"])
+def test_out_longer_than_the_file_system_allows_exits_2(tmp_path, capsys, monkeypatch,
+                                                        command, flag, out, what):
+    # refused before training, with nothing written, where the writes
+    # would fail with "File name too long" after the whole run
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FBPINN_OUTPUT_ROOT", raising=False)
+    cfg = write_config(tmp_path, training={"steps": 5, "record_interval": 5},
+                       coarse={"enabled": True, "points": 20, "epochs": 2},
+                       sweep={"subdomains": [2], "communication_intervals": [1]},
+                       output_dir="runs" if flag else out)
+    argv = [command, str(cfg)] + (["--out", out] if flag else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output directory {out!r}: {what} exceeds the file "
+                          "system's limit of ")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @st.composite
 def tiny_configs(draw):
     """A subcommand and a tiny config that parse_config accepts but for a

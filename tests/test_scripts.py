@@ -188,6 +188,18 @@ def test_bench_pairs_statistics_on_fixed_numbers():
     # fewer than 10 pairs never hold
     assert not summarize(rev[:9], work[:9], "higher")["gain"]
     assert summarize([1.0], [2.0], "higher")["rev"] == (1.0, 1.0, 1.0)
+    # a regression is a median worse by more than the bound, a fraction of
+    # REV's median (200 here, so 50 at a bound of 25%)
+    regression = _load_bench_pairs().regression
+    assert regression(rev, [r - 60.0 for r in rev], "higher", 0.25) == "regression"
+    assert regression(rev, [r - 40.0 for r in rev], "higher", 0.25) == "no regression"
+    assert regression(rev, [r + 60.0 for r in rev], "lower", 0.25) == "regression"
+    # REV's interquartile range here, 142.5 to 257.5, is wider than 25% of
+    # its median: unresolved, unless every working-tree run beats every REV run
+    wide = [100.0, 300.0, 150.0, 250.0, 200.0, 120.0, 280.0, 180.0, 220.0, 200.0]
+    assert regression(wide, [w - 1.0 for w in wide], "higher", 0.25) == "unresolved"
+    assert regression(wide, [w - 60.0 for w in wide], "higher", 0.25) == "unresolved"
+    assert regression(wide, [301.0] * 10, "higher", 0.25) == "no regression"
 
 
 def test_bench_pairs_runs_both_trees_alternately(tmp_path, capsys):

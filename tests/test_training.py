@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -975,6 +976,56 @@ def test_cache_after_coarse_run_matches_fresh_refresh():
     train_coarse_then_local(state, coarse_epochs=5, coarse_points=40,
                             local_rounds=4, record_interval=2, l2_points=50)
     _same_cache(state.cache, refresh_overlap_cache(state))
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft", "soft-multi", "coarse", "colored"])
+def test_a_standalone_refresh_equals_the_refresh_of_a_round(kind):
+    # a round's memo keeps each stepped network's tape, a standalone
+    # refresh's keeps none; both run the same forwards on the same rows
+    make = {"hard": small_state, "soft": soft_state, "soft-multi": soft_multi_state,
+            "coarse": coarse_state, "colored": small_state}[kind]
+    state = make(n_sub=4, n_pts=60, seed=9, communication_interval=2)
+    sched = colored_schedule(4, [[1, 3], [2, 4]]) if kind == "colored" else parallel_schedule(4)
+    for r in range(3):
+        train_round(state, active_set(sched, r))
+        _same_cache(state.cache, refresh_overlap_cache(state))
+
+
+def test_calls_that_step_no_network_hold_no_tapes():
+    # the paper's J=16 set-up: a refresh or a global loss outside training
+    # drops each tape before the next forward, so its peak stays below four
+    # networks' tapes where holding all sixteen would be over sixteen
+    state = create_state(make_single_frequency(15.0, DOM), build_decomposition(DOM, 16, 0.7),
+                         sample_collocation(DOM, 3000), layer_sizes=[1, 16, 16, 1])
+    rows = slice(*state.rows.bounds[1:3])
+    _, _, (_, hidden) = networks._forward(state.params[0], state.rows.inputs[rows])
+    tape = sum(a.nbytes for layer in hidden for a in layer)
+    del hidden
+    for call in (refresh_overlap_cache, global_loss):
+        tracemalloc.start()
+        try:
+            call(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * tape, call.__name__
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft-multi", "coarse"])
+def test_global_and_local_loss_read_what_a_tape_keeping_memo_reads(kind):
+    # the losses of tape-free memos: bitwise those of a memo that keeps
+    # tapes and of the per-network reference
+    make = {"hard": small_state, "soft-multi": soft_multi_state, "coarse": coarse_state}[kind]
+    state = make(n_sub=4, n_pts=60, seed=10)
+    train(state, alternating_schedule(4), 3, record_interval=3, l2_points=50)
+    memo = training._stepping_memo(state)
+    assert global_loss(state) == training._checked_loss(
+        state, refresh_overlap_cache(state, memo), memo)
+    workspaces, level0 = per_network.build(state)
+    cache = per_network.refresh(state, workspaces, level0)
+    assert global_loss(state) == per_network.loss_split(state, workspaces, cache)
+    for j in range(1, 5):
+        assert local_loss(state, j) == per_network.local_loss(state, workspaces, cache, j)
 
 
 @pytest.mark.parametrize("p", [1, 3])
