@@ -102,6 +102,14 @@ MATRIX = [
     # exits 3 at step 2 and leaves partial artifacts
     ("blowup-sgd-j4", "run", _config(4, 10, optimizer="sgd", learning_rate=1e300,
                                      collocation_points=200, record_interval=1)),
+    # overlapping explicit sets: subdomains 3 and 5 step in two sets each
+    ("explicit-j6-p2", "run", _config(
+        6, 24, schedule={"kind": "explicit", "sets": [[1, 2, 3], [3, 4, 5], [5, 6]]},
+        communication_interval=2, collocation_points=600)),
+    # every cell exits 3 and keeps partial artifacts; the sweep exits 0
+    ("sweep-failing-cells", "sweep", _config(
+        4, 10, optimizer="sgd", learning_rate=1e300, collocation_points=200,
+        record_interval=1, sweep={"subdomains": [2, 4], "communication_intervals": [1, 2]})),
 ]
 
 

@@ -289,15 +289,6 @@ def sample_collocation(domain, n_points):
     return np.linspace(domain.a, domain.b, int(n_points))
 
 
-def empty_subdomains(decomposition, points):
-    """1-based indices of the subdomains whose closed interval holds none of
-    the points."""
-    pts = np.sort(np.asarray(points, dtype=float))
-    held = (np.searchsorted(pts, decomposition.rights, "right")
-            - np.searchsorted(pts, decomposition.lefts, "left"))
-    return [int(j) + 1 for j in np.nonzero(held == 0)[0]]
-
-
 def index_list(indices):
     """indices as a list for an error message: all of them, as str(list)
     gives them, when there are at most 10, else the first 10 and the

@@ -13,6 +13,10 @@ import numpy as np
 
 from .networks import params_to_jsonable
 
+# Names below a run's directory that the CLI's output path check reads too
+COARSE_SOLUTION = "coarse_solution.csv"
+CHECKPOINTS, SUBDOMAIN_CHECKPOINT = "checkpoints", "subdomain_{:02d}.json"
+
 
 def _fmt(v):
     return f"{float(v):.17g}"
@@ -181,7 +185,7 @@ def write_solution(outdir, x, pred, exact, coarse=None):
         sol = files.enter_context(open(out / "solution.csv", "wb"))
         sol.write(b"x,u_pred,u_exact\n")
         if coarse is not None:
-            parts = files.enter_context(open(out / "coarse_solution.csv", "wb"))
+            parts = files.enter_context(open(out / COARSE_SOLUTION, "wb"))
             parts.write(b"x,u_coarse,u_local,u_combined,u_exact\n")
         ends = np.frombuffer(b",,\n" if coarse is None else b",,,,\n", np.uint8)
         for start in range(0, len(x), _ROWS):
@@ -219,10 +223,10 @@ def write_summary(path, report):
 
 
 def write_checkpoints(outdir, state):
-    ckpt = Path(outdir) / "checkpoints"
+    ckpt = Path(outdir) / CHECKPOINTS
     ckpt.mkdir(parents=True, exist_ok=True)
     for j, params in enumerate(state.params, start=1):
-        (ckpt / f"subdomain_{j:02d}.json").write_text(
+        (ckpt / SUBDOMAIN_CHECKPOINT.format(j)).write_text(
             json.dumps(params_to_jsonable(params)) + "\n")
     if state.coarse_params is not None:
         (ckpt / "coarse.json").write_text(

@@ -1,4 +1,5 @@
-"""Per-subdomain reference for a Decomposition's views and classify_points.
+"""Per-subdomain reference for a Decomposition's views, classify_points and
+the subdomains that hold no point.
 
 A Decomposition holds its subdomains' bounds as arrays, builds its
 Subdomain view from them on first use and writes decomposition.json
@@ -7,7 +8,9 @@ window_table pass. This module keeps the earlier forms as independent
 references: the layout built one subdomain at a time from the layout
 formulas, neighbour sets from comparing every pair of subdomains, the
 JSON layout written from those, and one membership mask per subdomain,
-whose overlap points are those its neighbours' masks also hold.
+whose overlap points are those its neighbours' masks also hold. The
+subdomains without a point, which create_state refuses, are counted with
+two searchsorted calls and no table.
 """
 
 import numpy as np
@@ -83,3 +86,12 @@ def classify_points(decomposition, points):
         overlap.append(np.nonzero(mask & shared)[0])
         interior.append(np.nonzero(mask & ~shared)[0])
     return CollocationSets(pts, members, interior, overlap)
+
+
+def empty_subdomains(decomposition, points):
+    """1-based indices of the subdomains whose closed interval holds none of
+    the points."""
+    pts = np.sort(np.asarray(points, dtype=float))
+    held = (np.searchsorted(pts, decomposition.rights, "right")
+            - np.searchsorted(pts, decomposition.lefts, "left"))
+    return [int(j) + 1 for j in np.nonzero(held == 0)[0]]

@@ -1,9 +1,11 @@
 """End-to-end command line runs against tiny configs in tmp dirs."""
 
 import json
+import os
 import re
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -371,8 +373,8 @@ def test_subdomains_without_points_exit_2(tmp_path, capsys, command, patch):
     out = tmp_path / "never"
     assert main([command, str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error: training.collocation_points = 3 leaves subdomains [" in err
-    assert "of 6 without a collocation point" in err
+    assert err == ("error: training.collocation_points = 3 with 6 subdomains: "
+                   "subdomains [2, 5] hold no collocation point\n")
     assert not out.exists()
 
 
@@ -394,11 +396,12 @@ def test_subdomains_far_above_the_points_exit_2_without_a_pairwise_table(tmp_pat
     out = tmp_path / "never"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: training.collocation_points = 50000 leaves subdomains [")
-    assert "of 100000 without a collocation point" in err
+    assert err.startswith("error: training.collocation_points = 50000 with 100000 "
+                          "subdomains: subdomains [")
     # the first ten empty subdomains and their count, not all of them
     assert len(err.encode()) < 1024
-    assert re.search(r"subdomains \[(\d+, ){10}…; \d+ in all\] of 100000", err)
+    assert re.search(r"subdomains \[(\d+, ){10}…; \d+ in all\] hold no collocation "
+                     r"point\n$", err)
     assert not out.exists()
 
 
@@ -549,6 +552,79 @@ def test_out_longer_than_the_file_system_allows_exits_2(tmp_path, capsys, monkey
     assert err.startswith(f"error: output directory {out!r}: {what} exceeds the file "
                           "system's limit of ")
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+class _Trained(Exception):
+    """Raised in place of training, once the pre-flight checks have passed."""
+
+
+def _trained(_, outdir, **kwargs):
+    raise _Trained(outdir)
+
+
+def _relative_path(size):
+    """A relative path of size bytes, in names of at most 200 bytes."""
+    names = []
+    while size > 201:
+        names.append("y" * 200)
+        size -= 201
+    return Path(*names, "y" * size)
+
+
+@pytest.mark.parametrize("command, longest", [
+    ("run", "checkpoints/subdomain_100.json"),
+    ("coarse", "checkpoints/subdomain_100.json"),
+    ("sweep", "cells/J100_p0005/checkpoints/subdomain_100.json"),
+])
+def test_out_whose_longest_output_reaches_the_path_limit_exits_2(tmp_path, capsys,
+                                                                 monkeypatch, command,
+                                                                 longest):
+    # the directory alone fits the file system, its longest output does
+    # not: refused before training, where the writes would fail with "File
+    # name too long" after the whole run
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, decomposition={"subdomains": 100},
+                       training={"steps": 5, "record_interval": 5, "collocation_points": 400},
+                       coarse={"enabled": True, "points": 20, "epochs": 2},
+                       sweep={"subdomains": [100, 3], "communication_intervals": [5, 1]})
+    size = os.pathconf(tmp_path, "PC_PATH_MAX") - len("/" + longest)
+    out = _relative_path(size)
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output directory {str(out)!r}: a path of {size} bytes exceeds the file "
+        f"system's limit of {size - 1} for a directory that is to hold {longest!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    # one byte shorter, every path fits and the pre-flight passes
+    monkeypatch.setattr(cli, "run_single", _trained)
+    monkeypatch.setattr(cli, "run_sweep", _trained)
+    shorter = _relative_path(size - 1)
+    with pytest.raises(_Trained) as caught:
+        main([command, str(cfg), "--out", str(shorter)])
+    assert caught.value.args == (shorter,)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command, runs", [("run", 1), ("coarse", 1), ("sweep", 4)])
+def test_each_run_is_built_once(tmp_path, monkeypatch, command, runs):
+    # the pre-flight builds the decomposition, schedule and state that the
+    # run trains: once for run and coarse, once per cell of a 2 x 2 sweep
+    builders = ("create_state", "build_schedule", "build_decomposition")
+    calls = Counter()
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name in builders:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    cfg = write_config(tmp_path, training={"steps": 2, "record_interval": 1},
+                       coarse={"enabled": True, "points": 20, "epochs": 2},
+                       sweep={"subdomains": [2, 3], "communication_intervals": [1, 2]})
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == dict.fromkeys(builders, runs)
 
 
 @st.composite

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from fbpinn.decomposition import (Interval, build_decomposition,
                                   build_decomposition_from_width,
-                                  classify_points, empty_subdomains,
-                                  index_list, sample_collocation, window,
+                                  classify_points, index_list,
+                                  sample_collocation, window,
                                   window_table)
 
 import decomposition_reference
+from decomposition_reference import empty_subdomains
 import window_table_reference
 
 EIGHT = Interval(0.0, 8.0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fbpinn import networks, training
 from fbpinn.decomposition import (Interval, build_decomposition,
                                   build_decomposition_from_width,
-                                  empty_subdomains,
                                   sample_collocation, window)
 from fbpinn.networks import NumericalFailureError, eval_batch, loss_gradient
 from fbpinn.problems import (SoftConstraint, make_single_frequency, make_two_frequency,
@@ -24,6 +23,7 @@ from fbpinn.training import (create_state, global_loss, local_loss,
                              _stale_breakdown, RunReport)
 
 import decomposition_reference
+from decomposition_reference import empty_subdomains
 import per_network_reference as per_network
 from plain_pinn import train_plain
 
