@@ -8,8 +8,10 @@ fixed matrix of small CLI configs with each tree's sources, and prints
 every artifact file as "identical" or "differs". A differing CSV or JSON
 file names how many of its rows (CSV lines, JSON leaf values) changed
 and the largest absolute and relative change among their numbers.
-summary.json's wall_time_s is ignored. Exits 0 when every file is
-identical and every run exits as it did at REV, 1 otherwise.
+summary.json's wall_time_s is ignored. Last it prints the line count of
+src/fbpinn/*.py in both trees, as `cat src/fbpinn/*.py | wc -l` counts
+them. Exits 0 when every file is identical and every run exits as it did
+at REV, 1 otherwise.
 
 The CLI's soft constraint has the one boundary point x = 0, so the soft
 runs have one boundary point.
@@ -217,6 +219,11 @@ def export(repo, rev, path):
     return path
 
 
+def source_lines(tree):
+    """The newlines in tree's src/fbpinn/*.py, which wc -l counts."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "fbpinn").glob("*.py"))
+
+
 def compare(rev, repo=REPO, matrix=MATRIX):
     """Run matrix at rev and in repo's working tree and print the
     comparison; returns the number of files and exit codes that differ."""
@@ -234,6 +241,8 @@ def compare(rev, repo=REPO, matrix=MATRIX):
                       f"{codes_work[name]} in the working tree")
         differing += compare_outputs(Path(tmp) / "rev", Path(tmp) / "work",
                                      rev, "the working tree")
+        print(f"src/fbpinn: {source_lines(base)} lines at {rev}, "
+              f"{source_lines(Path(repo))} in the working tree")
     return differing
 
 

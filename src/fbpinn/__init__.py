@@ -10,9 +10,8 @@ from .networks import (MlpParams, NumericalFailureError, ParamGradient,
                        params_from_jsonable, params_to_jsonable)
 from .optimizers import Adam, GradientDescent, make_optimizer
 from .problems import (HardConstraint, OdeProblem, SoftConstraint,
-                       UndefinedL2Error, identity_constraint,
-                       make_single_frequency, make_two_frequency,
-                       tanh_constraint)
+                       UndefinedL2Error, make_single_frequency,
+                       make_two_frequency, tanh_constraint)
 from .scheduling import (ActiveSet, Schedule, active_set, alternating_schedule,
                          colored_schedule, explicit_schedule, parallel_schedule)
 from .training import (FbpinnState, LossBreakdown, OverlapCache, RunReport,

@@ -68,15 +68,10 @@ class ScheduleConfig:
 
 
 @dataclass
-class CoarseConfig:
+class CoarseConfig(NetworkConfig):
     enabled: bool = False
     points: int = 500
     epochs: int = 3000
-    hidden_layers: int = 2
-    hidden_width: int = 16
-
-    def layer_sizes(self):
-        return [1] + [self.hidden_width] * self.hidden_layers + [1]
 
 
 @dataclass
@@ -180,11 +175,12 @@ def validate_config(cfg):
     _require(_is_num(d.overlap_fraction) and 0.0 < d.overlap_fraction < 1.0,
              "decomposition.overlap_fraction must lie in (0, 1)")
 
-    n = cfg.network
-    _require(_is_int(n.hidden_layers) and n.hidden_layers >= 1,
-             "network.hidden_layers must be an integer >= 1")
-    _require(_is_int(n.hidden_width) and n.hidden_width >= 1,
-             "network.hidden_width must be an integer >= 1")
+    for block in ("network", "coarse"):
+        n = getattr(cfg, block)
+        _require(_is_int(n.hidden_layers) and n.hidden_layers >= 1,
+                 f"{block}.hidden_layers must be an integer >= 1")
+        _require(_is_int(n.hidden_width) and n.hidden_width >= 1,
+                 f"{block}.hidden_width must be an integer >= 1")
 
     t = cfg.training
     _require(t.optimizer in ("adam", "sgd"),
@@ -215,10 +211,6 @@ def validate_config(cfg):
     _require(isinstance(c.enabled, bool), "coarse.enabled must be a boolean")
     _require(_is_int(c.points) and c.points >= 2, "coarse.points must be an integer >= 2")
     _require(_is_int(c.epochs) and c.epochs >= 0, "coarse.epochs must be an integer >= 0")
-    _require(_is_int(c.hidden_layers) and c.hidden_layers >= 1,
-             "coarse.hidden_layers must be an integer >= 1")
-    _require(_is_int(c.hidden_width) and c.hidden_width >= 1,
-             "coarse.hidden_width must be an integer >= 1")
 
     w = cfg.sweep
     for name, vals in (("sweep.subdomains", w.subdomains),

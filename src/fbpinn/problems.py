@@ -62,20 +62,11 @@ def tanh_constraint():
     return HardConstraint(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2)
 
 
-def identity_constraint():
-    """c = 1 everywhere; turns the constrained residual into the raw one.
-    Test hook, not used by the shipped problems."""
-    return HardConstraint(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                          lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-
-
 @dataclass(frozen=True)
 class OdeProblem:
     domain: Interval
     rhs: object
-    frequencies: tuple
     exact_solution: object
-    exact_derivative: object
     constraint: object
 
     def with_constraint(self, constraint):
@@ -115,9 +106,7 @@ def make_single_frequency(omega, domain):
     return OdeProblem(
         domain=domain,
         rhs=lambda x: np.cos(w * np.asarray(x, dtype=float)),
-        frequencies=(w,),
         exact_solution=lambda x: np.sin(w * np.asarray(x, dtype=float)) / w,
-        exact_derivative=lambda x: np.cos(w * np.asarray(x, dtype=float)),
         constraint=tanh_constraint(),
     )
 
@@ -125,7 +114,7 @@ def make_single_frequency(omega, domain):
 def make_two_frequency(omega1, omega2, domain):
     """du/dx = w1 cos(w1 x) + w2 cos(w2 x), exact solution sin(w1 x) + sin(w2 x)."""
     if omega1 == 0 or omega2 == 0:
-        raise ValueError("frequencies must be nonzero")
+        raise ValueError("omega1 and omega2 must be nonzero")
     _check_domain(domain)
     w1, w2 = float(omega1), float(omega2)
 
@@ -137,6 +126,5 @@ def make_two_frequency(omega1, omega2, domain):
         x = np.asarray(x, dtype=float)
         return np.sin(w1 * x) + np.sin(w2 * x)
 
-    return OdeProblem(domain=domain, rhs=rhs, frequencies=(w1, w2),
-                      exact_solution=exact, exact_derivative=rhs,
+    return OdeProblem(domain=domain, rhs=rhs, exact_solution=exact,
                       constraint=tanh_constraint())

@@ -233,10 +233,10 @@ def write_checkpoints(outdir, state):
             json.dumps(params_to_jsonable(state.coarse_params)) + "\n")
 
 
-def write_run_artifacts(outdir, report, state=None):
-    """loss_history.csv, solution.csv, summary.json, plus parameter
-    checkpoints and the decomposition layout when a state is given, and
-    coarse_solution.csv when the report has a coarse part."""
+def write_run_artifacts(outdir, report, state):
+    """loss_history.csv, solution.csv, summary.json, the state's parameter
+    checkpoints and decomposition layout, and coarse_solution.csv when the
+    report has a coarse part."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_loss_history(out / "loss_history.csv", report.records)
@@ -244,10 +244,9 @@ def write_run_artifacts(outdir, report, state=None):
         write_solution(out, report.solution_x, report.solution_pred,
                        report.solution_exact, report.solution_coarse)
     write_summary(out / "summary.json", report)
-    if state is not None:
-        write_checkpoints(out, state)
-        (out / "decomposition.json").write_text(
-            json.dumps(state.decomposition.to_jsonable(), indent=2) + "\n")
+    write_checkpoints(out, state)
+    (out / "decomposition.json").write_text(
+        json.dumps(state.decomposition.to_jsonable(), indent=2) + "\n")
     return out
 
 

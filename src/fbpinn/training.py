@@ -93,22 +93,22 @@ class _RowTable:
     member_ends[j], then the soft boundary points it holds (none under a
     hard constraint). Network 0, the coarse network, holds every point
     with window 1 (an empty block without one); 1..J are the subdomains.
-    Row id k is collocation point k below the number of collocation points
-    and soft boundary point k - that number above it. Each network's
-    forward, residual, loss derivatives and cache contributions are rows
-    of these arrays, so all active networks' elementwise work is one pass
-    over their rows."""
+    Row id k is collocation point k below len(points) and soft boundary
+    point k - len(points) above it. Each network's forward, residual,
+    loss derivatives and cache contributions are rows of these arrays, so
+    all active networks' elementwise work is one pass over their rows."""
 
     bounds: np.ndarray
     member_ends: np.ndarray
     row_ids: np.ndarray
+    owners: np.ndarray            # per row id: the row of its lowest-indexed level-1 holder
+    points: np.ndarray            # the collocation points
+    interior_mask: np.ndarray     # per point: held by one subdomain; the rest are overlap points
     x: np.ndarray
     inputs: np.ndarray            # x_hat: the rows of every local forward
     scale: np.ndarray             # d(x_hat)/dx
     win: np.ndarray
     dwin: np.ndarray              # 0 at boundary rows
-    member: np.ndarray            # a collocation row, not a soft boundary row
-    owned: np.ndarray             # the row's network is its lowest-indexed level-1 holder
     rhs: np.ndarray               # f at collocation rows, the soft targets at boundary rows
     # A soft constraint's (c, c') is (1, 0) at the collocation rows and
     # (0, 1) at its boundary rows, so c'v + cv' - f is v' - f there and
@@ -163,12 +163,6 @@ def _stepping_memo(state):
 
 
 @dataclass
-class _GlobalTables:
-    x: np.ndarray
-    interior_mask: np.ndarray     # held by one subdomain; the rest are overlap points
-
-
-@dataclass
 class FbpinnState:
     problem: object
     decomposition: object
@@ -180,7 +174,6 @@ class FbpinnState:
     round: int
     step: int
     rows: _RowTable
-    tables: _GlobalTables
     cache: OverlapCache | None
 
     @property
@@ -219,8 +212,7 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         raise ValueError("problem and decomposition domains differ")
     if not isinstance(communication_interval, (int, np.integer)) or communication_interval < 1:
         raise ValueError(f"communication_interval must be >= 1, got {communication_interval!r}")
-    rows, tables = _row_tables(problem, decomposition, points,
-                               coarse=coarse_layer_sizes is not None)
+    rows = _row_tables(problem, decomposition, points, coarse=coarse_layer_sizes is not None)
     n_sub = decomposition.n_subdomains
     params = [init_params(layer_sizes, master_seed + j) for j in range(1, n_sub + 1)]
     optimizers = [make_optimizer(optimizer, learning_rate) for _ in range(n_sub)]
@@ -234,18 +226,17 @@ def create_state(problem, decomposition, points, *, layer_sizes,
         params=params, coarse_params=coarse_params,
         optimizers=optimizers, coarse_optimizer=coarse_optimizer,
         communication_interval=int(communication_interval), round=0, step=0,
-        rows=rows, tables=tables, cache=None,
+        rows=rows, cache=None,
     )
     state.cache = refresh_overlap_cache(state)
     return state
 
 
 def _row_tables(problem, decomposition, points, coarse=False):
-    """(rows, tables): the row table and the global tables, from one
-    window_table pass over the collocation points, then the soft boundary
-    points (none under a hard constraint), behind network 0's block of
-    every point when coarse. A point held by more than one subdomain is an
-    overlap point."""
+    """The row table, from one window_table pass over the collocation
+    points, then the soft boundary points (none under a hard constraint),
+    behind network 0's block of every point when coarse. A point held by
+    more than one subdomain is an overlap point."""
     pts = _collocation_in_domain(decomposition.domain, points)
     n_points = len(pts)
     constraint = problem.constraint
@@ -270,7 +261,6 @@ def _row_tables(problem, decomposition, points, coarse=False):
     empty = [int(j) for j in np.nonzero(member_ends[1:] == bounds[1:-1])[0] + 1]
     if empty:
         raise ValueError(f"subdomains {index_list(empty)} hold no collocation point")
-    interior_mask = np.bincount(table.ids, minlength=len(all_x))[:n_points] == 1
     x = all_x[row_ids]
     dwin[~member] = 0.0
     dom = problem.domain
@@ -285,17 +275,17 @@ def _row_tables(problem, decomposition, points, coarse=False):
     gain = np.where(member, 2.0 / n_points, 2.0 * constraint.weight / max(len(bc_x), 1))
 
     # One stable sort of the level-1 rows by row id puts each point's
-    # holders together, in ascending subdomain order. Layer 0 routes network
-    # 0 to every level-1 row; a row's k-th other holder is its next layer's
-    # source. So no row is a destination twice within a layer, and each
-    # layer lists its collocation rows first.
+    # holders together, in ascending subdomain order; window_table refuses
+    # points outside every subdomain, so each point's first is its owner.
+    # Layer 0 routes network 0 to every level-1 row; a row's k-th other
+    # holder is its next layer's source. So no row is a destination twice
+    # within a layer, and each layer lists its collocation rows first.
     by_id = n0 + np.argsort(row_ids[n0:], kind="stable")
     sorted_ids = row_ids[by_id]
     first = np.searchsorted(sorted_ids, sorted_ids, "left")
     n_holders = np.searchsorted(sorted_ids, sorted_ids, "right") - first
     rank = np.arange(len(by_id)) - first
-    owned = np.zeros(len(x), dtype=bool)
-    owned[by_id[rank == 0]] = True
+    lowest = rank == 0
     routes = [(sorted_ids, by_id)] if coarse else []
     for k in range(n_holders.max(initial=1) - 1):
         has = n_holders > k + 1
@@ -303,12 +293,11 @@ def _row_tables(problem, decomposition, points, coarse=False):
     member_routes = [(src[:m], dst[:m]) for src, dst in routes
                      for m in [np.count_nonzero(member[dst])]]
 
-    t = _RowTable(
-        bounds=bounds, member_ends=member_ends, row_ids=row_ids, x=x, inputs=inputs,
-        scale=scale, win=win, dwin=dwin, member=member, owned=owned, rhs=rhs, cons=cons,
-        dcons=dcons, dr_du=dr_du, dr_ddu=dr_ddu, gain=gain, routes=routes,
-        member_routes=member_routes)
-    return t, _GlobalTables(pts, interior_mask)
+    return _RowTable(
+        bounds=bounds, member_ends=member_ends, row_ids=row_ids, owners=by_id[lowest],
+        points=pts, interior_mask=n_holders[lowest][:n_points] == 1, x=x, inputs=inputs,
+        scale=scale, win=win, dwin=dwin, rhs=rhs, cons=cons, dcons=dcons, dr_du=dr_du,
+        dr_ddu=dr_ddu, gain=gain, routes=routes, member_routes=member_routes)
 
 
 def _forwards(state, order, memo):
@@ -402,7 +391,7 @@ def _loss_terms(state, rows, spans, cache, u, du):
     scaled by the global point count, plus the penalty of its soft
     boundary rows. Callers run it under np.errstate, as _forwards."""
     t, constraint = state.rows, state.problem.constraint
-    n = len(state.tables.x)
+    n = len(t.points)
     r = _residual(t, rows, u, du, cache)
     losses = []
     for lo, mid, hi in spans:
@@ -416,21 +405,20 @@ def _loss_terms(state, rows, spans, cache, u, du):
 
 
 def _loss_split(state, cache, memo=None):
-    """Loss split with every row's residual taken from its lowest-indexed
-    level-1 holder's live network against `cache`: the ODE residual at
-    collocation points, plus the soft boundary penalty. Returns the split
-    and the residual at every collocation point."""
-    t, constraint = state.tables, state.problem.constraint
-    n = len(t.x)
+    """Loss split with every point's residual taken at its owner row, from
+    that network's live output against `cache`: one residual pass over the
+    level-1 rows, gathered by owner. The ODE residual at collocation points,
+    plus the soft boundary penalty. Returns the split and the residual at
+    every collocation point."""
+    t, constraint = state.rows, state.problem.constraint
+    n = len(t.points)
     memo = memo if memo is not None else _memo(state)
-    rows, level1 = state.rows, slice(state.rows.bounds[1], None)
+    level1 = slice(t.bounds[1], None)
     with np.errstate(invalid="ignore", over="ignore"):
         _forwards(state, range(1, state.n_subdomains + 1), memo)
-        res = _residual(rows, level1, memo.u[level1], memo.du[level1], cache)
-        by_row = np.zeros(n + len(constraint.points))
-        owned = rows.owned[level1]
-        by_row[rows.row_ids[level1][owned]] = res[owned]
-        r, err = by_row[:n], by_row[n:]
+        res = _residual(t, level1, memo.u[level1], memo.du[level1], cache)
+        by_point = res[t.owners - t.bounds[1]]
+        r, err = by_point[:n], by_point[n:]
         boundary = float(_penalty(constraint, err))
         squared = r * r
         split = LossBreakdown(float(np.sum(squared) / n) + boundary,
@@ -446,7 +434,7 @@ def _checked_loss(state, cache, memo):
     split, r = _loss_split(state, cache, memo)
     bad = ~np.isfinite(r)
     if bad.any():
-        x = state.tables.x[int(np.argmax(bad))]
+        x = state.rows.points[int(np.argmax(bad))]
         raise NumericalFailureError(f"non-finite residual at x={x!r}", point=float(x))
     return split
 
@@ -621,7 +609,7 @@ def _train(state, schedule, steps, *, record_interval=10, l2_points=None,
     is then the number of steps taken before. An initial loss that is not
     finite fails at the step it was taken at. A failure's step is numbered
     as the records are, from step_offset."""
-    l2_points = l2_points if l2_points is not None else 10 * len(state.tables.x)
+    l2_points = l2_points if l2_points is not None else 10 * len(state.rows.points)
     for name, value, least in (("steps", steps, 1), ("record_interval", record_interval, 1),
                                ("l2_points", l2_points, 2)):
         if not isinstance(value, (int, np.integer)) or value < least:
@@ -698,11 +686,11 @@ def _lone_state(problem, points, params, optimizer):
     its inputs are normalized exactly as coarse_norm normalizes them."""
     dom = problem.domain
     decomposition = Decomposition(dom, np.array([dom.a]), np.array([dom.b]), 0.0, None)
-    rows, tables = _row_tables(problem, decomposition, points)
+    rows = _row_tables(problem, decomposition, points)
     return FbpinnState(
         problem=problem, decomposition=decomposition, params=[params],
         coarse_params=None, optimizers=[optimizer], coarse_optimizer=None,
-        communication_interval=1, round=0, step=0, rows=rows, tables=tables,
+        communication_interval=1, round=0, step=0, rows=rows,
         cache=OverlapCache(np.zeros(len(rows.x)), np.zeros(len(rows.x))))
 
 
@@ -741,12 +729,13 @@ def train_coarse_then_local(state, coarse_epochs, coarse_points, local_rounds,
         try:
             _train(lone, None, int(coarse_epochs), record_interval=record_interval,
                    l2_points=l2_points if l2_points is not None
-                   else 10 * len(state.tables.x),
+                   else 10 * len(state.rows.points),
                    report=report, phase="coarse")
         except NumericalFailureError as err:
             err.subdomain = "coarse"
             raise
-    state.cache = refresh_overlap_cache(state)
+        # the coarse network moved: the cache create_state filled is stale
+        state.cache = refresh_overlap_cache(state)
     train(state, schedule, local_rounds, record_interval=record_interval,
           l2_points=l2_points, report=report, phase="local",
           step_offset=int(coarse_epochs))

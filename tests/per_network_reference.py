@@ -39,7 +39,7 @@ def build(state):
     soft boundary points it holds; each keeps its outgoing routes as
     (target, src rows, dst rows, member src rows, member dst rows)."""
     problem, dec = state.problem, state.decomposition
-    pts = state.tables.x
+    pts = state.rows.points
     n = len(pts)
     hard = problem.constraint.kind == "hard"
     rows = window_table(dec, pts)
@@ -117,8 +117,8 @@ def _residual(ws, u, du, bg, dbg):
 
 def _loss_fn(state, ws, bg, dbg):
     """Network ws.index's loss closure against its frozen background."""
-    t, soft = state.tables, state.problem.constraint
-    n, n_own = len(t.x), ws.n_own
+    t, soft = state.rows, state.problem.constraint
+    n, n_own = len(t.points), ws.n_own
     hard = ws.cons is not None
     dr_du = ws.dcons * ws.row_win + ws.cons * ws.dwin if hard else ws.dwin
     dr_ddu = ws.cons * (ws.row_win * ws.scale) if hard else ws.row_win[:n_own] * ws.scale
@@ -151,8 +151,8 @@ def local_loss(state, workspaces, cache, j):
 
 def loss_split(state, workspaces, cache):
     """The loss split of every row's owner against cache."""
-    t, constraint = state.tables, state.problem.constraint
-    n, n_bc = len(t.x), len(constraint.points)
+    t, constraint = state.rows, state.problem.constraint
+    n, n_bc = len(t.points), len(constraint.points)
     by_row = np.zeros(n + n_bc)
     with np.errstate(invalid="ignore", over="ignore"):
         for ws, bg, dbg in zip(workspaces, *cache):

@@ -82,7 +82,7 @@ def dense_sum(state, x):
 def dense_loss(state):
     """(total, interior, overlap, boundary) from the definitions."""
     prob, dec = state.problem, state.decomposition
-    x = state.tables.x
+    x = state.rows.points
     v, dv = dense_sum(state, x)
     if prob.constraint.kind == "hard":
         r = prob.constraint.multiplier_prime(x) * v + prob.constraint.multiplier(x) * dv

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fbpinn.decomposition import Interval
-from fbpinn.problems import (HardConstraint, SoftConstraint,
-                             identity_constraint, make_single_frequency,
+from fbpinn.problems import (HardConstraint, SoftConstraint, make_single_frequency,
                              make_two_frequency, tanh_constraint)
 
 DOM = Interval(-2 * np.pi, 2 * np.pi)
@@ -15,7 +14,6 @@ def test_single_frequency_definition():
     np.testing.assert_allclose(prob.rhs(xs), np.cos(15 * xs), rtol=1e-15)
     np.testing.assert_allclose(prob.exact_solution(xs), np.sin(15 * xs) / 15,
                                rtol=1e-15)
-    assert prob.frequencies == (15.0,)
     assert prob.exact_solution(0.0) == 0.0
     assert prob.constraint.kind == "hard"
 
@@ -27,7 +25,6 @@ def test_two_frequency_definition():
                                np.cos(xs) + 15 * np.cos(15 * xs), rtol=1e-15)
     np.testing.assert_allclose(prob.exact_solution(xs),
                                np.sin(xs) + np.sin(15 * xs), rtol=1e-14, atol=1e-15)
-    assert prob.frequencies == (1.0, 15.0)
 
 
 def test_exact_solution_satisfies_ode():
@@ -38,8 +35,6 @@ def test_exact_solution_satisfies_ode():
         xs = np.linspace(-5.0, 5.0, 37)
         fd = (prob.exact_solution(xs + h) - prob.exact_solution(xs - h)) / (2 * h)
         np.testing.assert_allclose(fd, prob.rhs(xs), rtol=1e-7, atol=1e-7)
-        np.testing.assert_allclose(prob.exact_derivative(xs), prob.rhs(xs),
-                                   rtol=1e-15)
 
 
 def test_problem_constructors_reject_bad_input():
@@ -80,20 +75,6 @@ def test_constraint_derivative_vs_finite_differences():
     _, got = constrained(c, xs, np.ones(5), np.zeros(5))
     fd = (np.tanh(xs + h) - np.tanh(xs - h)) / (2 * h)
     np.testing.assert_allclose(got, fd, rtol=1e-8, atol=1e-9)
-
-
-def test_identity_constraint_is_transparent():
-    value, dvalue = constrained(identity_constraint(), np.array([1.7, -0.2]),
-                                np.array([3.0, -1.0]), np.array([4.0, 0.5]))
-    assert value.tolist() == [3.0, -1.0] and dvalue.tolist() == [4.0, 0.5]
-
-
-def test_residual_of_exact_solution_vanishes():
-    # du/dx - f(x) of the exact solution's derivative
-    prob = make_single_frequency(3.0, DOM)
-    xs = np.array([-4.0, -1.3, 0.5, 2.0])
-    np.testing.assert_allclose(prob.exact_derivative(xs) - prob.rhs(xs), 0.0,
-                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("kw, match", [

@@ -135,14 +135,20 @@ def test_compare_artifacts_finds_a_one_ulp_change(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "tiny: exit 0"
     assert "tiny/solution.csv: identical" in lines
-    assert all(line.endswith(": identical") for line in lines[1:])
+    assert all(line.endswith(": identical") for line in lines[1:-1])
+    # the line count of `cat src/fbpinn/*.py | wc -l`
+    wc = subprocess.run("cat src/fbpinn/*.py | wc -l", shell=True, cwd=repo, check=True,
+                        capture_output=True, text=True).stdout.strip()
+    assert lines[-1] == f"src/fbpinn: {wc} lines at HEAD, {wc} in the working tree"
 
     with open(repo / "src" / "fbpinn" / "reporting.py", "a") as fh:
         fh.write(ONE_ULP)
     assert compare.compare("HEAD", repo, matrix) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "tiny: exit 0"
-    differing = [line for line in lines[1:] if not line.endswith(": identical")]
+    grown = int(wc) + ONE_ULP.count("\n")
+    assert lines[-1] == f"src/fbpinn: {wc} lines at HEAD, {grown} in the working tree"
+    differing = [line for line in lines[1:-1] if not line.endswith(": identical")]
     assert len(differing) == 1
     name, verdict = differing[0].split(": ", 1)
     assert name == "tiny/solution.csv"

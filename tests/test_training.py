@@ -76,7 +76,7 @@ def manual_raw_global(state, x):
 
 def manual_global_loss(state):
     """Mean squared constrained residual straight from the definition."""
-    pts = state.tables.x
+    pts = state.rows.points
     prob = state.problem
     acc = 0.0
     for x in pts:
@@ -117,7 +117,7 @@ def test_global_loss_zero_networks_equals_mean_squared_rhs():
             a[:] = 0.0
     state.cache = refresh_overlap_cache(state)
     bd = global_loss(state)
-    rhs = state.problem.rhs(state.tables.x)
+    rhs = state.problem.rhs(state.rows.points)
     assert bd.total == pytest.approx(float(np.mean(rhs ** 2)), rel=1e-15)
     assert bd.boundary == 0.0
 
@@ -182,7 +182,7 @@ def test_local_loss_manual_two_subdomains():
     # normalized by the global point count
     state = small_state(n_sub=2, n_pts=50, seed=3)
     prob = state.problem
-    n = len(state.tables.x)
+    n = len(state.rows.points)
     rows, members = rows_of(state, 1)
     sd = state.decomposition.subdomains[0]
     c, hw = sd.center, 0.5 * sd.width
@@ -305,7 +305,7 @@ def test_train_rejects_too_few_l2_points(l2_points):
     with pytest.raises(ValueError, match="l2_points must be >= 2"):
         train(state, parallel_schedule(2), 1, l2_points=l2_points)
     with pytest.raises(ValueError, match="l2_points must be >= 2"):
-        train_pinn(state.problem, state.tables.x, layer_sizes=[1, 4, 1], steps=1,
+        train_pinn(state.problem, state.rows.points, layer_sizes=[1, 4, 1], steps=1,
                    l2_points=l2_points)
     assert same_params(snap, state.params) and state.step == 0
 
@@ -375,10 +375,10 @@ def test_create_state_tables_agree_with_classify_points(data, n_sub, spread, sof
         overlapping[sets.overlap[j]] = True
         point_ids = state.rows.row_ids[rows_of(state, j + 1)[1]]
         assert np.array_equal(point_ids, sets.members[j])
-        assert np.array_equal(~state.tables.interior_mask[point_ids],
+        assert np.array_equal(~state.rows.interior_mask[point_ids],
                               np.isin(point_ids, sets.overlap[j]))
-    assert np.array_equal(state.tables.interior_mask, interior)
-    assert np.array_equal(~state.tables.interior_mask, overlapping)
+    assert np.array_equal(state.rows.interior_mask, interior)
+    assert np.array_equal(~state.rows.interior_mask, overlapping)
 
 
 def test_numerical_failure_carries_location_and_report():
@@ -648,7 +648,7 @@ def test_coarse_network_contributes_to_evaluation():
     assert global_loss(state).total == pytest.approx(manual_global_loss(state), rel=1e-12)
     # cache background equals the coarse term at interior points
     members = rows_of(state, 1)[1]
-    interior = state.tables.interior_mask[state.rows.row_ids[members]]
+    interior = state.rows.interior_mask[state.rows.row_ids[members]]
     c, hw = state.coarse_norm
     ug, _ = eval_batch(state.coarse_params, (state.rows.x[members][interior] - c) / hw)
     np.testing.assert_allclose(state.cache.values[members][interior], ug, rtol=1e-13)
@@ -680,11 +680,20 @@ def test_coarse_frozen_during_local_phase():
     assert local_steps and min(local_steps) > 20
 
 
-def test_coarse_epochs_zero_degenerates():
-    state = coarse_state(seed=3)
-    before = snapshot([state.coarse_params])
-    rep = train_coarse_then_local(state, coarse_epochs=0, coarse_points=50,
-                                  local_rounds=3, record_interval=1)
+def test_coarse_epochs_zero_degenerates(monkeypatch):
+    # create_state leaves the cache fresh, so only a trained coarse network
+    # adds a refresh to the local rounds' one each
+    refreshes = []
+    real_refresh = training.refresh_overlap_cache
+    monkeypatch.setattr(training, "refresh_overlap_cache",
+                        lambda *a, **kw: refreshes.append(1) or real_refresh(*a, **kw))
+    for epochs in (2, 0):
+        state = coarse_state(seed=3)
+        before = snapshot([state.coarse_params])
+        refreshes.clear()
+        rep = train_coarse_then_local(state, coarse_epochs=epochs, coarse_points=50,
+                                      local_rounds=3, record_interval=1)
+        assert len(refreshes) == 3 + (epochs > 0)
     assert same_params(before, [state.coarse_params])
     assert rep.phases == {"local": 3}
     assert all(r.phase == "local" for r in rep.records)
@@ -723,18 +732,18 @@ def test_boundary_points_are_rows_of_every_holder(n_sub):
     # each boundary point is a row of every subdomain holding it, owned by
     # the lowest-indexed one; one of the points lies in an overlap
     state = soft_multi_state(n_sub=n_sub)
-    n = len(state.tables.x)
-    holders, owners = {}, {}
+    t = state.rows
+    n = len(t.points)
+    holders = {}
     for j in range(1, n_sub + 1):
-        boundary = slice(state.rows.member_ends[j], state.rows.bounds[j + 1])
-        for k, owned in zip(state.rows.row_ids[boundary] - n, state.rows.owned[boundary]):
+        for k in t.row_ids[t.member_ends[j]:t.bounds[j + 1]] - n:
             holders.setdefault(int(k), []).append(j)
-            if owned:
-                owners.setdefault(int(k), []).append(j)
     for k, xb in enumerate(MULTI.points):
         want = [sd.index for sd in state.decomposition.subdomains if sd.contains(xb)]
         assert holders[k] == want
-        assert owners[k] == want[:1]
+        owner = t.owners[n + k]
+        assert t.row_ids[owner] == n + k
+        assert t.bounds[want[0]] <= owner < t.bounds[want[0] + 1]
     assert max(len(h) for h in holders.values()) == 2
 
 
@@ -895,7 +904,7 @@ def test_row_pass_matches_the_per_network_reference(constraint, kind, coarse, p)
         assert np.array_equal(state.rows.row_ids[rows], ref.row_ids)
         assert np.array_equal(state.cache.values[rows], values)
         assert np.array_equal(state.cache.dvalues[rows][:len(dvalues)], dvalues)
-    assert not state.cache.dvalues[~state.rows.member].any()
+    assert not state.cache.dvalues[state.rows.row_ids >= len(state.rows.points)].any()
     for j in range(1, 5):
         assert local_loss(state, j) == per_network.local_loss(twin, workspaces, cache, j)
     assert _stale_breakdown(state) == per_network.loss_split(twin, workspaces, cache)
@@ -1048,7 +1057,7 @@ def test_coarse_part_of_solution_is_the_frozen_coarse_network(constraint):
     state = coarse_state(seed=6, n_sub=4)
     if constraint == "soft":
         state = create_state(
-            state.problem.with_constraint(MULTI), state.decomposition, state.tables.x,
+            state.problem.with_constraint(MULTI), state.decomposition, state.rows.points,
             layer_sizes=[1, 6, 1], master_seed=6, coarse_layer_sizes=[1, 6, 1])
     rep = train_coarse_then_local(state, coarse_epochs=5, coarse_points=40,
                                   local_rounds=3, record_interval=2, l2_points=70)
@@ -1068,9 +1077,9 @@ def test_one_coarse_forward_per_train_call_on_every_level0_row(monkeypatch, cons
     state = coarse_state(seed=6, n_sub=4)
     if constraint == "soft":
         state = create_state(
-            state.problem.with_constraint(MULTI), state.decomposition, state.tables.x,
+            state.problem.with_constraint(MULTI), state.decomposition, state.rows.points,
             layer_sizes=[1, 6, 1], master_seed=6, coarse_layer_sizes=[1, 6, 1])
-    points = state.tables.x
+    points = state.rows.points
     if constraint == "soft":
         points = np.append(points, MULTI.points)
     center, halfwidth = state.coarse_norm
@@ -1104,21 +1113,21 @@ def test_one_coarse_forward_per_train_call_on_every_level0_row(monkeypatch, cons
 def test_the_coarse_network_is_network_0_of_the_row_table(constraint):
     # network 0's block is every collocation point, then every soft
     # boundary point, in row-id order, with window 1 and the coarse inputs;
-    # it owns no row and is no route's destination. Without a coarse
+    # it owns no point and is no route's destination. Without a coarse
     # network the block is empty.
     make = small_state if constraint == "hard" else soft_multi_state
     state = make(n_sub=4, n_pts=60, seed=6, coarse_layer_sizes=[1, 6, 1])
     t = state.rows
-    n = len(state.tables.x) + len(state.problem.constraint.points)
+    n = len(state.rows.points) + len(state.problem.constraint.points)
     assert t.bounds[0] == 0 and t.bounds[1] == n
     block = slice(0, n)
     assert np.array_equal(t.row_ids[block], np.arange(n))
-    points = state.tables.x if constraint == "hard" else np.append(state.tables.x, MULTI.points)
+    points = state.rows.points if constraint == "hard" else np.append(state.rows.points, MULTI.points)
     assert np.array_equal(t.x[block], points)
     assert (t.win[block] == 1.0).all() and (t.dwin[block] == 0.0).all()
     center, halfwidth = state.coarse_norm
     assert t.inputs[block].tobytes() == ((t.x[block] - center) / halfwidth).tobytes()
-    assert not t.owned[block].any()
+    assert (t.owners >= n).all()
     for _, dst in t.routes + t.member_routes:
         assert (dst >= n).all()
     assert len(t.routes[0][1]) == len(t.x) - n
